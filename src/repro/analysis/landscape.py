@@ -13,6 +13,8 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..crawler.store import ObservationStore
+from ..errors import VersionError
+from ..semver import parse_version
 from ..vulndb import VulnerabilityDatabase
 from ..webgen.libraries import TOP15_ORDER
 
@@ -53,28 +55,19 @@ class LandscapeResult:
 
 
 def _dominant_version(
-    store: ObservationStore, library: str
+    versions: Tuple[Tuple[str, int], ...], user_total: int
 ) -> Tuple[Optional[str], float, Optional[str], int]:
-    """(dominant version, its share of users, latest observed, #versions)."""
-    totals: Dict[str, int] = {}
-    user_total = 0
-    for agg in store.ordered_weeks():
-        user_total += agg.library_users.get(library, 0)
-        for (lib, version), count in agg.version_counts.items():
-            if lib == library:
-                totals[version] = totals.get(version, 0) + count
-    if not totals:
+    """(dominant version, its share of users, latest observed, #versions)
+    from one library's ``store.version_totals()`` entry."""
+    if not versions:
         return None, 0.0, None, 0
-    dominant, count = max(totals.items(), key=lambda kv: kv[1])
-    from ..semver import parse_version
-    from ..errors import VersionError
-
+    dominant, count = versions[0]
     latest = None
     try:
-        latest = max(totals, key=lambda v: parse_version(v))
-    except VersionError:  # pragma: no cover - generated versions parse
+        latest = max((version for version, _ in versions), key=parse_version)
+    except VersionError:
         pass
-    return dominant, count / max(user_total, 1), latest, len(totals)
+    return dominant, count / max(user_total, 1), latest, len(versions)
 
 
 def analyze(
@@ -83,15 +76,29 @@ def analyze(
     libraries: Tuple[str, ...] = TOP15_ORDER,
     top_cdn_count: int = 3,
 ) -> LandscapeResult:
-    """Build Table 1 / Figure 3 / Table 5 from the observation store."""
+    """Build Table 1 / Figure 3 / Table 5 from the observation store.
+
+    Reads packed columns by id; count ties break by symbol string.
+    """
     aggregates = store.ordered_weeks()
     dates = [agg.week.date.isoformat() for agg in aggregates]
+    symbols = store.symbols
+    version_totals = store.version_totals()
+    host_totals: Dict[int, Dict[int, int]] = {}  # library id -> host id -> count
+    for agg in aggregates:
+        for pair_id, count in agg.cdn_hosts.items_ids():
+            lib_id, host_id = symbols.libhost.component_ids(pair_id)
+            hosts = host_totals.setdefault(lib_id, {})
+            hosts[host_id] = hosts.get(host_id, 0) + count
     rows: List[LibraryRow] = []
     usage_series: Dict[str, List[float]] = {}
     top_cdns: Dict[str, List[Tuple[str, float]]] = {}
 
     for library in libraries:
-        users = [agg.library_users.get(library, 0) for agg in aggregates]
+        lib_id = symbols.library.lookup(library)
+        if lib_id is None:  # never observed: an id past every column reads 0
+            lib_id = len(symbols.library)
+        users = [agg.library_users.get_id(lib_id) for agg in aggregates]
         shares = [
             u / max(agg.collected, 1) for u, agg in zip(users, aggregates)
         ]
@@ -99,21 +106,23 @@ def analyze(
         average_users = sum(users) / max(len(users), 1)
         usage_share = sum(shares) / max(len(shares), 1)
 
-        internal = sum(agg.internal_counts.get(library, 0) for agg in aggregates)
-        external = sum(agg.external_counts.get(library, 0) for agg in aggregates)
-        via_cdn = sum(agg.cdn_counts.get(library, 0) for agg in aggregates)
+        internal = sum(agg.internal_counts.get_id(lib_id) for agg in aggregates)
+        external = sum(agg.external_counts.get_id(lib_id) for agg in aggregates)
+        via_cdn = sum(agg.cdn_counts.get_id(lib_id) for agg in aggregates)
         inclusions = max(internal + external, 1)
 
-        cdn_host_totals: Dict[str, int] = {}
-        for agg in aggregates:
-            for host, count in agg.cdn_hosts.get(library, {}).items():
-                cdn_host_totals[host] = cdn_host_totals.get(host, 0) + count
-        ranked_hosts = sorted(cdn_host_totals.items(), key=lambda kv: -kv[1])
+        hosts = host_totals.get(lib_id, {}).items()
+        ranked_hosts = sorted(
+            ((symbols.cdn_host.decode(host_id), count) for host_id, count in hosts),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
         top_cdns[library] = [
             (host, count / max(external, 1)) for host, count in ranked_hosts[:top_cdn_count]
         ]
 
-        dominant, dom_share, latest, n_versions = _dominant_version(store, library)
+        dominant, dom_share, latest, n_versions = _dominant_version(
+            version_totals.get(library, ()), sum(users)
+        )
         rows.append(
             LibraryRow(
                 library=library,

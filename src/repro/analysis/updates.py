@@ -15,7 +15,7 @@ WordPress-driven December 2020 update wave.
 from __future__ import annotations
 
 import dataclasses
-import datetime
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crawler.store import ObservationStore
@@ -76,8 +76,8 @@ class DelayResult:
 
 
 def _version_at(
-    trajectory: Sequence[Tuple[int, str]], ordinal: int
-) -> Optional[str]:
+    trajectory: Sequence[Tuple[int, int]], ordinal: int
+) -> Optional[int]:
     version = None
     for week, value in trajectory:
         if week <= ordinal:
@@ -103,7 +103,8 @@ def advisory_delay(
 
     Sites enter the at-risk cohort if they are observed on an affected
     version at (or first after) the patch-availability date; they leave
-    it at the first observed version outside the affected range.
+    it at the first observed version outside the affected range.  Sites'
+    packed ``(week, version id)`` changes are walked by id.
     """
     calendar = store.calendar
     patched_on = advisory.patched_on
@@ -122,21 +123,21 @@ def advisory_delay(
         advisory.effective_range if mode is MatchMode.TVV else advisory.stated_range
     )
 
+    decode = store.symbols.version.decode
+    affected_id = functools.lru_cache(maxsize=None)(  # per version id, this call
+        lambda ver_id: _contains(affected, decode(ver_id))
+    )
     delays: List[int] = []
     censored = 0
-    library = advisory.library
-    for libs in store.trajectories.values():
-        trajectory = libs.get(library)
-        if not trajectory:
-            continue
+    lib_id = store.symbols.library.lookup(advisory.library)
+    for changes in store.trajectories.library_changes(lib_id):
+        trajectory = list(zip(changes[::2], changes[1::2]))
         current = _version_at(trajectory, start_ordinal)
-        if current is None or not _contains(affected, current):
+        if current is None or not affected_id(current):
             continue
         fixed_ordinal: Optional[int] = None
-        for week, version in trajectory:
-            if week <= start_ordinal:
-                continue
-            if not _contains(affected, version):
+        for week, ver_id in trajectory:
+            if week > start_ordinal and not affected_id(ver_id):
                 fixed_ordinal = week
                 break
         if fixed_ordinal is None:

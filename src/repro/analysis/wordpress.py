@@ -10,7 +10,7 @@ five most severe (ancient) ones.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..crawler.store import ObservationStore
 from ..errors import VersionError
@@ -58,26 +58,33 @@ def cve_exposure(
     """Table 4: affected WordPress sites per CVE.
 
     Counts, per week, WordPress sites whose core version falls in each
-    advisory's stated range, then averages over weeks.
+    advisory's stated range, then averages over weeks.  Weekly columns
+    are read once, by id; membership is decided per distinct version.
     """
     advisories = [a for a in database if a.library == "wordpress"]
+    weekly = [
+        list(agg.wordpress_versions.items_ids()) for agg in store.ordered_weeks()
+    ]
+    totals = [sum(count for _, count in week) for week in weekly]
+    decode = store.symbols.version.decode
+    versions = {ver_id: decode(ver_id) for week in weekly for ver_id, _ in week}
     rows: List[WordPressCveRow] = []
-    aggregates = store.ordered_weeks()
     for advisory in advisories:
-        affected_weekly: List[float] = []
-        share_weekly: List[float] = []
-        for agg in aggregates:
-            affected = 0
-            total = 0
-            for version, count in agg.wordpress_versions.items():
-                total += count
-                try:
-                    if version != "?" and advisory.stated_range.contains(version):
-                        affected += count
-                except VersionError:
-                    continue
-            affected_weekly.append(affected)
-            share_weekly.append(affected / max(total, 1))
+        affected_ids = set()
+        for ver_id, version in versions.items():
+            try:
+                if version != "?" and advisory.stated_range.contains(version):
+                    affected_ids.add(ver_id)
+            except VersionError:
+                continue
+        affected_weekly = [
+            sum(count for ver_id, count in week if ver_id in affected_ids)
+            for week in weekly
+        ]
+        share_weekly = [
+            affected / max(total, 1)
+            for affected, total in zip(affected_weekly, totals)
+        ]
         rows.append(
             WordPressCveRow(
                 advisory=advisory,

@@ -2,15 +2,16 @@
 
 Each container stores counts or packed ints keyed by dense symbol ids
 (see :mod:`.symbols`) in stdlib ``array('q')`` columns, while exposing
-the *mapping-by-symbol* read surface the analyses and tests were
-written against (``.get``/``.items``/``dict(...)``/``==``).  The write
-surface used by the ingest hot path works on raw ids and never builds
-a key object.
+the *mapping-by-symbol* read surface (``.get``/``.items``/
+``dict(...)``/``==``) alongside an id-level one (``get_id``/
+``items_ids``).  The write surface used by the ingest hot path works on
+raw ids and never builds a key object; the hot analyses read by id too
+and decode only the symbols that reach their results.
 
 Iteration order of every ``items()`` is dense-id order, which equals
-first-intern order — for a serially built store that is exactly the
-old ``defaultdict`` insertion order, so stable-sort tie-breaking in
-the reporting layer is unchanged.
+first-intern order and so depends on how the store was built (crawled,
+merged, or decoded from bytes).  No result may depend on it: the
+analyses and the serve layer break count ties by symbol.
 
 Per-site structures (:class:`PackedTrajectories`,
 :class:`PackedWpTrajectories`, :class:`FlashSpans`,
@@ -259,17 +260,8 @@ class NestedPairCounter:
         return groups
 
     def get(self, a_symbol: str, default=None):
-        a_id = self._domain.a.lookup(a_symbol)
-        if a_id is None:
-            return {} if default is None else default
-        domain = self._domain
-        decode_b = domain.b.decode
-        inner: Dict[str, int] = {}
-        for pair_id, count in enumerate(self._counts):
-            if count:
-                pa, pb = domain.component_ids(pair_id)
-                if pa == a_id:
-                    inner[decode_b(pb)] = count
+        """Scans the whole column; hot readers use :meth:`items_ids`."""
+        inner = self._grouped().get(self._domain.a.lookup(a_symbol))
         if not inner:
             return {} if default is None else default
         return inner
@@ -522,6 +514,14 @@ class PackedTrajectories:
         self._sites = sites
 
     # -- read surface --------------------------------------------------
+    def library_changes(self, lib_id: Optional[int]) -> Iterator[array]:
+        """Each site's packed ``(week, version id)`` changes for one library
+        id; sites without it (all, for ``None``) are skipped.  Read-only."""
+        for site in self._sites.values():
+            changes = site.get(lib_id)
+            if changes is not None:
+                yield changes
+
     def get(self, rank: int, default=None):
         site = self._sites.get(rank)
         if site is None:

@@ -12,9 +12,9 @@ identifier is interned to a dense id in a run-wide
 :class:`~repro.crawler.symbols.SymbolTable`, weekly counters live in
 ``array('q')`` columns indexed by those ids, and per-site structures
 (trajectories, Flash spans, untrusted-site sets) are packed int
-arrays keyed by rank.  The read surface is unchanged — the column
-containers present the same mapping protocol the analyses and the
-old nested-dict store exposed — and the exact-merge semantics the
+arrays keyed by rank.  The column containers present the same
+mapping protocol the old nested-dict store exposed, plus id-level
+reads for the hot analyses, and the exact-merge semantics the
 invariant suite enforces are preserved (merging remaps ids through
 symbols, never copies them).
 
@@ -43,6 +43,9 @@ from .columns import (
     SiteSets,
 )
 from .symbols import SymbolTable
+
+#: library -> ((version, site-weeks), ...); see ObservationStore.version_totals
+VersionTotals = Dict[str, Tuple[Tuple[str, int], ...]]
 
 #: Column fields of a WeekAggregate, merged generically (pure addition
 #: under symbol remapping).
@@ -209,10 +212,10 @@ class ObservationStore:
         #: domain ranks ever observed (post-filter universe)
         self.observed_domains: Set[int] = set()
         self.total_observations = 0
-        #: memoized observed_versions payload; rebuilt lazily after any
+        #: memoized version_totals payload; rebuilt lazily after any
         #: ingest/merge invalidation (one week scan per rebuild instead
         #: of one per reporting call)
-        self._versions_cache: Optional[Dict[str, List[str]]] = None
+        self._versions_cache: Optional[VersionTotals] = None
 
     # ------------------------------------------------------------------
     # Ingest
@@ -429,36 +432,37 @@ class ObservationStore:
             return [0 for _ in self.ordered_weeks()]
         return [agg.library_users.get_id(lib_id) for agg in self.ordered_weeks()]
 
-    def observed_versions(self, library: str) -> List[str]:
-        """All versions of a library ever observed (sorted by count desc).
+    def version_totals(self) -> VersionTotals:
+        """Library -> ``((version, site-weeks), ...)``, sorted by
+        ``(-site-weeks, version)`` so ties never follow intern order.
 
-        Memoized: the first call after an ingest/merge scans the weekly
-        version columns once and caches totals for *every* library, so
-        the per-library reporting loop does not rescan 201 weeks per
-        call.
+        Memoized for every consumer (landscape, dominant versions, the
+        serve layer): the first call after an ingest/merge invalidation
+        scans the weekly version columns once.  Do not mutate it.
         """
         if self._versions_cache is None:
-            self._rebuild_versions_cache()
-        return list(self._versions_cache.get(library, ()))
+            totals: Dict[int, int] = {}
+            for agg in self.ordered_weeks():
+                for pair_id, count in agg.version_counts.items_ids():
+                    totals[pair_id] = totals.get(pair_id, 0) + count
+            decode = self.symbols.libver.decode
+            per_library: Dict[str, List[Tuple[str, int]]] = {}
+            for pair_id, count in totals.items():
+                library, version = decode(pair_id)
+                per_library.setdefault(library, []).append((version, count))
+            self._versions_cache = {
+                library: tuple(sorted(pairs, key=lambda kv: (-kv[1], kv[0])))
+                for library, pairs in per_library.items()
+            }
+        return self._versions_cache
 
-    def _rebuild_versions_cache(self) -> None:
-        totals: Dict[int, int] = {}
-        for agg in self.ordered_weeks():
-            for pair_id, count in agg.version_counts.items_ids():
-                totals[pair_id] = totals.get(pair_id, 0) + count
-        libver = self.symbols.libver
-        lib_decode = self.symbols.library.decode
-        ver_decode = self.symbols.version.decode
-        per_library: Dict[str, List[Tuple[str, int]]] = {}
-        for pair_id, count in totals.items():
-            lib_id, ver_id = libver.component_ids(pair_id)
-            per_library.setdefault(lib_decode(lib_id), []).append(
-                (ver_decode(ver_id), count)
-            )
-        self._versions_cache = {
-            library: [v for v, _ in sorted(pairs, key=lambda kv: -kv[1])]
-            for library, pairs in per_library.items()
-        }
+    def observed_versions(self, library: str) -> List[str]:
+        """All versions of a library ever observed, most site-weeks first.
+
+        Count ties break by version string (see :meth:`version_totals`,
+        whose memo this reads).
+        """
+        return [version for version, _ in self.version_totals().get(library, ())]
 
     def average_collected(self) -> float:
         return self.average(lambda a: a.collected)

@@ -210,11 +210,6 @@ class ServeApp:
         self._dates = [
             agg.week.date.isoformat() for agg in store.ordered_weeks()
         ]
-        #: library -> ((version, total site-weeks), ...) sorted by
-        #: (-total, version).  Computed here — NOT via
-        #: ``store.observed_versions`` — because that memo breaks count
-        #: ties by symbol-intern order, which is provenance-dependent.
-        self._version_totals = self._collect_version_totals()
         #: cache_key -> precomputed payload (hot aggregates; affects
         #: computation only, never cache accounting or bytes).
         self._hot: Dict[str, object] = {}
@@ -265,23 +260,6 @@ class ServeApp:
             store, database=database, crawl_metrics=crawl_metrics, **kwargs
         )
 
-    def _collect_version_totals(
-        self,
-    ) -> Dict[str, Tuple[Tuple[str, int], ...]]:
-        totals: Dict[int, int] = {}
-        for agg in self.store.ordered_weeks():
-            for pair_id, count in agg.version_counts.items_ids():
-                totals[pair_id] = totals.get(pair_id, 0) + count
-        libver = self.store.symbols.libver
-        per_library: Dict[str, List[Tuple[str, int]]] = {}
-        for pair_id, count in totals.items():
-            library, version = libver.decode(pair_id)
-            per_library.setdefault(library, []).append((version, count))
-        return {
-            library: tuple(sorted(pairs, key=lambda kv: (-kv[1], kv[0])))
-            for library, pairs in per_library.items()
-        }
-
     def _precompute(self) -> None:
         started_ns = time.perf_counter_ns()
         hot = self._hot
@@ -292,7 +270,7 @@ class ServeApp:
             hot[f"/weeks/{ordinal}/overview"] = self._endpoint_week(
                 {"ordinal": ordinal}, {}
             )
-        for library in sorted(self._version_totals):
+        for library in sorted(self.store.version_totals()):
             hot[f"/libraries/{library}/trend"] = self._endpoint_trend(
                 {"library": library}, {}
             )
@@ -484,7 +462,7 @@ class ServeApp:
                 "observed_domains": len(self.store.observed_domains),
                 "total_observations": self.store.total_observations,
                 "advisories": len(self._advisories),
-                "libraries": len(self._version_totals),
+                "libraries": len(self.store.version_totals()),
             },
         }
 
@@ -517,7 +495,7 @@ class ServeApp:
             "observed_domains": len(self.store.observed_domains),
             "total_observations": self.store.total_observations,
             "advisories": len(self._advisories),
-            "libraries": len(self._version_totals),
+            "libraries": len(self.store.version_totals()),
             "crawl_metrics_loaded": self.crawl_metrics is not None,
         }
 
@@ -640,7 +618,7 @@ class ServeApp:
                 )
         store = self.store
         users = store.library_series(library)
-        totals = self._version_totals.get(library, ())
+        totals = store.version_totals().get(library, ())
         average_share = store.average(
             lambda agg: agg.library_users.get(library, 0) / max(agg.collected, 1)
         )

@@ -109,18 +109,11 @@ def run_server(options) -> int:
             file=sys.stderr,
         )
         return 2
-    host, port = server.server_address[:2]
-    print(
-        f"repro-serve: {len(app.store.observed_domains):,} domains x "
-        f"{len(app.calendar.weeks)} weeks, "
-        f"{len(app._hot):,} hot aggregates precomputed; "
-        f"listening on http://{host}:{port}/",
-        file=sys.stderr,
-    )
     # Graceful shutdown on SIGTERM (the signal process managers send):
     # stop accepting, drain in-flight requests, close the socket, exit
     # 0 — same path Ctrl-C takes.  ``server.shutdown`` blocks until the
     # serve loop exits, so the handler must call it from another thread.
+    # Installed before the banner, which a manager may answer at once.
     previous = None
     if threading.current_thread() is threading.main_thread():
 
@@ -129,7 +122,15 @@ def run_server(options) -> int:
             threading.Thread(target=server.shutdown, daemon=True).start()
 
         previous = signal.signal(signal.SIGTERM, _terminate)
+    host, port = server.server_address[:2]
     try:
+        print(
+            f"repro-serve: {len(app.store.observed_domains):,} domains x "
+            f"{len(app.calendar.weeks)} weeks, "
+            f"{len(app._hot):,} hot aggregates precomputed; "
+            f"listening on http://{host}:{port}/",
+            file=sys.stderr,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -89,12 +89,12 @@ def build_mix(
     for ordinal in ordinals[::stride][:max_weeks]:
         targets.append(f"/weeks/{ordinal}/overview")
 
-    version_totals: Dict[str, int] = {}
-    for agg in store.ordered_weeks():
-        for (library, _version), count in agg.version_counts.items():
-            version_totals[library] = version_totals.get(library, 0) + count
+    library_totals = {
+        library: sum(count for _version, count in versions)
+        for library, versions in store.version_totals().items()
+    }
     ranked_libraries = sorted(
-        version_totals.items(), key=lambda kv: (-kv[1], kv[0])
+        library_totals.items(), key=lambda kv: (-kv[1], kv[0])
     )
     for library, _count in ranked_libraries[:max_libraries]:
         targets.append(f"/libraries/{library}/trend")

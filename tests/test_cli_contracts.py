@@ -256,3 +256,53 @@ class TestServeShutdown:
         assert code == 0
         remainder = proc.stderr.read()
         assert "SIGTERM received, draining" in remainder
+
+    def test_sigterm_handler_is_installed_before_the_banner(
+        self, tmp_path, monkeypatch
+    ):
+        """A manager that signals on reading "listening on" must hit the
+        draining handler, never the default one that kills the server."""
+        import signal
+
+        from repro import ScenarioConfig, Study
+        from repro.crawler.persistence import save_store
+        from repro.options import ServeOptions
+        from repro.serve import http as serve_http
+
+        study = Study(ScenarioConfig(population=20, seed=5))
+        study.run(weeks=study.config.calendar.weeks[:2])
+        save_store(study.store, tmp_path / "store.bin")
+
+        events = []
+
+        class StubServer:
+            server_address = ("127.0.0.1", 8737)
+
+            def serve_forever(self):
+                events.append("serve")
+
+            def server_close(self):
+                pass
+
+        class Stderr:
+            def write(self, text):
+                if "listening on" in text:
+                    events.append("banner")
+                return len(text)
+
+            def flush(self):
+                pass
+
+        real_signal = signal.signal
+
+        def recording_signal(signum, handler):
+            if signum == signal.SIGTERM:
+                events.append("sigterm-handler")
+            return real_signal(signum, handler)
+
+        monkeypatch.setattr(serve_http, "make_server", lambda *args: StubServer())
+        monkeypatch.setattr(signal, "signal", recording_signal)
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        options = ServeOptions(store=str(tmp_path / "store.bin"))
+        assert serve_http.run_server(options) == 0
+        assert events == ["sigterm-handler", "banner", "serve", "sigterm-handler"]
