@@ -45,7 +45,7 @@ def _timed_run(checkpoint_dir=None, resume=False):
         options=RunOptions(
             execution=ExecutionOptions(
                 workers=2,
-                backend="thread",
+                backend="serial",
                 shard_size=_SHARD_SIZE,
                 profile_cache=False,
             ),

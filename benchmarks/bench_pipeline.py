@@ -224,14 +224,14 @@ def test_shard_duration_spread(benchmark):
     """Per-shard duration spread (min/median/max, tail idle), per backend.
 
     The serial backend measures each shard uncontended — its spread is
-    the plan's intrinsic imbalance; the pooled backends show how that
+    the plan's intrinsic imbalance; the process backend shows how that
     imbalance plus contention translates into tail idle.
     """
     import statistics
 
     def sweep():
         spreads = {}
-        for backend in ("serial", "thread", "process", "async"):
+        for backend in ("serial", "process"):
             _, durations, elapsed = _adaptive_run(backend=backend)
             makespan, tail_idle = _pool_schedule(
                 durations, _ADAPTIVE_WORKERS

@@ -283,7 +283,7 @@ class SecurityHygieneConfig:
 
 #: Backend names accepted by :class:`ExecutionConfig`.  ``auto`` resolves
 #: to ``serial`` for one worker and ``process`` otherwise.
-EXECUTION_BACKENDS = ("auto", "serial", "thread", "process", "async")
+EXECUTION_BACKENDS = ("auto", "serial", "process")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,9 +320,9 @@ class ExecutionConfig:
     dataset.
 
     Attributes:
-        backend: ``auto``, ``serial``, ``thread``, ``process``, or
-            ``async``.
-        workers: Worker count for the parallel backends.
+        backend: ``auto``, ``serial``, or ``process``.
+        workers: Worker count; the ``process`` backend runs that many
+            shards at once, ``serial`` runs the same plan in turn.
         shard_size: Upper bound on ``weeks × domains`` cells per shard;
             ``0`` picks one shard per worker.
         max_shard_retries: Re-dispatch attempts per failed shard.

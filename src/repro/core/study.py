@@ -17,7 +17,6 @@ virtual network — the two are observation-equivalent (tested).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import (
@@ -34,7 +33,7 @@ from ..analysis import (
 )
 from ..config import ScenarioConfig, default_scenario
 from ..crawler import Crawler, CrawlReport, ObservationStore
-from ..errors import AnalysisError, ConfigError
+from ..errors import AnalysisError
 from ..fingerprint import FingerprintEngine
 from ..options import RunOptions
 from ..poclab import ValidationLab
@@ -63,28 +62,7 @@ class Study:
             failure policy), durability (checkpoint dir, resume), and
             observability (detailed metrics, ``metrics_out``).  Every
             field defaults to "inherit from the scenario config".
-        **legacy: The pre-options flat keyword arguments (``workers``,
-            ``backend``, ``shard_size``, ``profile_cache``,
-            ``max_shard_retries``, ``on_shard_failure``, ``fault_plan``,
-            ``checkpoint_dir``, ``resume``).  Deprecated: still accepted
-            with identical semantics, but emit one
-            :class:`DeprecationWarning` per construction — migrate to
-            ``options=RunOptions(...)``.  Mixing both forms is a
-            :class:`~repro.errors.ConfigError`.
     """
-
-    #: The flat keyword names ``Study`` accepted before :class:`RunOptions`.
-    _LEGACY_OPTION_NAMES = (
-        "workers",
-        "backend",
-        "shard_size",
-        "profile_cache",
-        "max_shard_retries",
-        "on_shard_failure",
-        "fault_plan",
-        "checkpoint_dir",
-        "resume",
-    )
 
     def __init__(
         self,
@@ -92,38 +70,7 @@ class Study:
         database: Optional[VulnerabilityDatabase] = None,
         mode: str = "manifest",
         options: Optional[RunOptions] = None,
-        **legacy,
     ) -> None:
-        unknown = set(legacy) - set(self._LEGACY_OPTION_NAMES)
-        if unknown:
-            raise TypeError(
-                f"Study() got unexpected keyword argument(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        # Drop no-op legacy values (None, and resume=False) so that e.g.
-        # Study(config, workers=None) neither warns nor conflicts.
-        legacy = {
-            name: value
-            for name, value in legacy.items()
-            if value is not None and not (name == "resume" and value is False)
-        }
-        if legacy:
-            if options is not None:
-                set_fields = options.non_default_fields() or ("options",)
-                raise ConfigError(
-                    "pass run options either as options=RunOptions(...) or "
-                    "as legacy keyword arguments, not both (options= sets "
-                    f"{', '.join(set_fields)}; legacy keywords gave "
-                    f"{', '.join(sorted(legacy))})"
-                )
-            warnings.warn(
-                "Study's flat keyword arguments "
-                f"({', '.join(sorted(legacy))}) are deprecated; pass "
-                "options=RunOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = RunOptions.from_kwargs(**legacy)
         self.options = options if options is not None else RunOptions()
         self.config = self.options.apply_to(config or default_scenario())
         self.database = database or default_database()

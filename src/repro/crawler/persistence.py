@@ -27,20 +27,21 @@ Only analysis-facing state is persisted (weekly aggregates, per-site
 trajectories, untrusted-host sets); the memoization caches rebuild on
 demand.
 
-Durability: :func:`save_store` is crash-safe — the blob is written to
-a same-directory temp file, fsync'd, and atomically renamed into
-place, so a reader can never observe a torn write.  Corruption —
-truncated sections, flipped bytes, foreign or unsupported formats —
-surfaces as a typed :class:`~repro.errors.StoreError` carrying the
-path and (when identifiable) the failing section, never as a raw
-``struct.error``, ``zlib.error``, or ``KeyError``.
+Durability: :func:`save_store` and :func:`export_store_json` write
+through :func:`~repro.runtime.ledger.atomic_write_bytes`, the primitive
+the run ledger journals with — a same-directory temp file, fsync'd and
+atomically renamed into place, then a directory fsync — so a reader can
+never observe a torn write and the new name survives a crash.
+Corruption — truncated sections, flipped bytes, foreign or unsupported
+formats — surfaces as a typed :class:`~repro.errors.StoreError`
+carrying the path and (when identifiable) the failing section, never as
+a raw ``struct.error``, ``zlib.error``, or ``KeyError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import zlib
 from array import array
@@ -48,6 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from ..errors import StoreError
+from ..runtime.ledger import atomic_write_bytes
 from ..timeline import StudyCalendar
 from ..vulndb import MatchMode, VersionMatcher, default_database
 from .store import _COLUMN_FIELDS, _SCALAR_FIELDS, ObservationStore
@@ -707,26 +709,16 @@ def store_from_bytes(
 # ----------------------------------------------------------------------
 # Files
 # ----------------------------------------------------------------------
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Durable write: same-directory temp file, fsync, atomic rename."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def save_store(store: ObservationStore, path: Union[str, Path]) -> None:
     """Write a store to ``path`` as a canonical format-v2 binary blob.
 
     Equal stores — e.g. a serial crawl and a merged sharded crawl,
     whose intern orders differ — produce byte-identical files.  The
-    write is crash-safe (temp file + fsync + atomic rename), and the
-    blob carries a sha256 trailer that :func:`load_store` verifies.
+    write is crash-safe (temp file + fsync + atomic rename + directory
+    fsync), and the blob carries a sha256 trailer that
+    :func:`load_store` verifies.
     """
-    _atomic_write_bytes(Path(path), store_to_bytes(store))
+    atomic_write_bytes(Path(path), store_to_bytes(store))
 
 
 def export_store_json(store: ObservationStore, path: Union[str, Path]) -> None:
@@ -745,7 +737,7 @@ def export_store_json(store: ObservationStore, path: Union[str, Path]) -> None:
         },
         sort_keys=True,
     )
-    _atomic_write_bytes(Path(path), document.encode("utf-8"))
+    atomic_write_bytes(Path(path), document.encode("utf-8"))
 
 
 def load_store(

@@ -288,41 +288,12 @@ class RunOptions:
         default_factory=ObservabilityOptions
     )
 
-    def non_default_fields(self) -> Tuple[str, ...]:
-        """Dotted names of every field set away from its default.
-
-        Powers the mixing-forms ``ConfigError``: when a caller passes
-        both ``options=`` and legacy keywords, the error names exactly
-        which fields each form tried to set.
-        """
-        names = []
-        for attr, option_cls, _, _ in OPTION_GROUPS:
-            group = getattr(self, attr)
-            defaults = option_cls()
-            for field in dataclasses.fields(option_cls):
-                if getattr(group, field.name) != getattr(defaults, field.name):
-                    names.append(f"{attr}.{field.name}")
-        return tuple(names)
-
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "RunOptions":
-        """Build options from the legacy flat ``Study`` keyword names."""
-        groups = {}
-        for attr, option_cls, _, _ in OPTION_GROUPS:
-            names = {field.name for field in dataclasses.fields(option_cls)}
-            taken = {name: kwargs.pop(name) for name in list(kwargs) if name in names}
-            groups[attr] = option_cls(**taken)
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise ConfigError(f"unknown run option(s): {unknown}")
-        return cls(**groups)
-
     # ------------------------------------------------------------------
     def apply_to(self, config: ScenarioConfig) -> ScenarioConfig:
         """The scenario config with these options' overrides applied.
 
-        Only non-``None`` fields override; everything else inherits from
-        ``config``, exactly as the legacy keyword arguments did.
+        Only non-``None`` fields (and ``resume=True``) override;
+        everything else inherits from ``config``.
         """
         overrides = {}
         if self.execution.workers is not None:

@@ -2,10 +2,9 @@
 
 The crawl pipeline scales by partitioning the ``weeks × domains`` space
 into balanced, non-overlapping shards (:mod:`.sharding`), executing each
-shard as a self-contained task (:mod:`.worker`) on a serial, thread,
-process, or asyncio backend (:mod:`.backends`), and merging the partial
-observation stores exactly
-(:meth:`~repro.crawler.ObservationStore.merge`).  Shard plans are
+shard as a self-contained task (:mod:`.worker`) on a serial or process
+backend (:mod:`.backends`), and merging the partial observation stores
+exactly (:meth:`~repro.crawler.ObservationStore.merge`).  Shard plans are
 uniform by default; :class:`CostModel` turns a previous run's canonical
 metrics into a weighted plan (``--plan-from``) that balances estimated
 cost instead of cell count.
@@ -32,11 +31,9 @@ and stores per (seed, plan).
 """
 
 from .backends import (
-    AsyncBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     describe_backend,
     get_backend,
 )
@@ -46,7 +43,6 @@ from .dispatch import (
     DispatchResult,
     ShardFailure,
     SimulatedClock,
-    WallClock,
     backoff_delay,
     dispatch_shards,
 )
@@ -69,9 +65,7 @@ from .worker import (
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "AsyncBackend",
     "describe_backend",
     "get_backend",
     "Shard",
@@ -88,7 +82,6 @@ __all__ = [
     "JournalingRunner",
     "atomic_write_bytes",
     "SimulatedClock",
-    "WallClock",
     "DispatchResult",
     "ShardFailure",
     "dispatch_shards",

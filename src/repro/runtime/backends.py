@@ -1,21 +1,18 @@
 """Pluggable execution backends for shard dispatch.
 
 An :class:`ExecutionBackend` maps a picklable task function over a list
-of shard tasks and returns the results *in task order*.  Four
+of shard tasks and returns the results *in task order*.  Two
 implementations cover the useful points of the design space:
 
 * :class:`SerialBackend` — in-process loop; zero overhead, the default.
-* :class:`ThreadBackend` — a thread pool; shares the parent process (no
-  pickling), useful when the workload releases the GIL or for testing
-  the shard path without process startup cost.
 * :class:`ProcessBackend` — a process pool; true multi-core execution.
   Tasks and results cross the process boundary via pickle, which is why
-  the shard worker speaks the persistence layer's dict codec.
-* :class:`AsyncBackend` — asyncio cooperative execution in the current
-  process.  The virtual network is in-process, so "concurrency" costs
-  no pickling, no forks, and no thread handoffs — on a 1-CPU container
-  this is the cheapest way to interleave many shards, and the event
-  loop gives the dispatcher a natural place to overlap retry waves.
+  the shard worker speaks the persistence layer's binary store codec.
+
+The virtual network is in-process, so a shard never waits on real I/O:
+threads or coroutines would only interleave CPU work that one
+interpreter runs one bytecode at a time.  A process pool is the only
+way to run two shards' Python code at once.
 
 Backends are deliberately dumb: all determinism lives in the shard
 planner (disjoint, contiguous work units) and the store merge (exact,
@@ -30,7 +27,6 @@ bound so directly-built backends cannot drift from the factory.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 from typing import Any, Callable, List, Sequence
 
@@ -56,7 +52,7 @@ class ExecutionBackend(Protocol):
 
 
 def describe_backend(backend: "ExecutionBackend") -> str:
-    """Diagnostic label for a backend, e.g. ``"thread x4"``.
+    """Diagnostic label for a backend, e.g. ``"process x4"``.
 
     Used for the metrics ``process`` tier (and error messages) only —
     backend identity must never reach the canonical metrics document,
@@ -78,38 +74,20 @@ def _check_workers(workers: int) -> int:
 class SerialBackend:
     """Runs shards one after another in the calling thread.
 
-    ``workers`` is accepted for constructor parity with the parallel
-    backends but serial execution is single-worker by definition: the
-    argument is validated (must be >= 1), preserved as
-    ``requested_workers`` for diagnostics, and ``workers`` is pinned to
-    1 so callers consulting the backend see its true parallelism.
+    ``workers`` is accepted for constructor parity with the process
+    backend and validated (must be >= 1), but serial execution is
+    single-worker by definition: ``workers`` is pinned to 1 so callers
+    consulting the backend see its true parallelism.
     """
 
     name = "serial"
 
     def __init__(self, workers: int = 1) -> None:
-        self.requested_workers = _check_workers(workers)
+        _check_workers(workers)
         self.workers = 1
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         return [fn(task) for task in tasks]
-
-
-class ThreadBackend:
-    """Runs shards on a thread pool inside the current process."""
-
-    name = "thread"
-
-    def __init__(self, workers: int = 2) -> None:
-        self.workers = _check_workers(workers)
-
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        if not tasks:
-            return []
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-shard"
-        ) as pool:
-            return list(pool.map(fn, tasks))
 
 
 class ProcessBackend:
@@ -129,56 +107,9 @@ class ProcessBackend:
             return list(pool.map(fn, tasks))
 
 
-class AsyncBackend:
-    """Runs shards cooperatively on an asyncio event loop.
-
-    The shard worker is synchronous CPU work against the in-process
-    virtual network, so the event loop cannot overlap two shards'
-    *computation* — but it also pays none of the process backend's
-    pickle/fork tax and none of the thread backend's handoff latency,
-    which makes it the right default on a 1-CPU container.  ``workers``
-    bounds the in-flight tasks via a semaphore; each task yields to the
-    loop (``await asyncio.sleep(0)``) before running, so dispatch-layer
-    coroutines (retry bookkeeping, journaling wrappers) interleave
-    fairly.
-
-    ``is_async`` marks the backend for the dispatcher, which replaces
-    its round-based retry loop with per-shard retry coroutines — a
-    failed shard re-enters the loop immediately instead of waiting for
-    the whole round (see :func:`~repro.runtime.dispatch.dispatch_shards`).
-    """
-
-    name = "async"
-    is_async = True
-
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = _check_workers(workers)
-
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        if not tasks:
-            return []
-        return asyncio.run(self._gather(fn, tasks))
-
-    async def _gather(
-        self, fn: Callable[[Any], Any], tasks: Sequence[Any]
-    ) -> List[Any]:
-        # The semaphore must be created inside the running loop (3.9
-        # binds primitives to the loop current at construction).
-        semaphore = asyncio.Semaphore(self.workers)
-
-        async def run_one(task: Any) -> Any:
-            async with semaphore:
-                await asyncio.sleep(0)
-                return fn(task)
-
-        return list(await asyncio.gather(*(run_one(task) for task in tasks)))
-
-
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
-    "async": AsyncBackend,
 }
 
 

@@ -18,18 +18,18 @@ shard planner and the backends:
   default ``"raise"`` policy surface as a
   :class:`~repro.errors.ShardExecutionError` naming the shard.
 
-Determinism: retry rounds process shards in plan order, fault draws are
-pure in (plan, shard key, attempt), and the backoff schedule is a pure
-function of the attempt number — so two runs with the same
-(seed, plan) produce identical drop sets, retry counts, and simulated
-backoff totals on every backend.
+Every backend runs the same round loop: a round maps the pending shards
+through ``backend.map`` and requeues the failures for the next round.
+Rounds process shards in plan order, fault draws are pure in (plan,
+shard key, attempt), and the backoff schedule is a pure function of the
+attempt number — so two runs with the same (seed, plan) produce
+identical drop sets, retry counts, and simulated backoff totals on
+every backend.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ShardExecutionError
@@ -57,17 +57,6 @@ class SimulatedClock:
     def sleep(self, seconds: float) -> None:
         self.now += seconds
         self.sleeps.append(seconds)
-
-
-class WallClock:
-    """Real backoff for live runs; never used by the test suite."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def sleep(self, seconds: float) -> None:  # pragma: no cover - real sleep
-        time.sleep(seconds)
-        self.now += seconds
 
 
 def backoff_delay(attempt: int) -> float:
@@ -138,10 +127,6 @@ def dispatch_shards(
         A :class:`DispatchResult`; ``payloads`` aligns with ``tasks``.
     """
     clock = clock if clock is not None else SimulatedClock()
-    if getattr(backend, "is_async", False):
-        return _dispatch_async(
-            backend, tasks, max_retries, on_failure, clock, run_task, instruments
-        )
     payloads: List[Optional[Dict[str, object]]] = [None] * len(tasks)
     # Tasks may be any subset of a larger shard plan (e.g. the shards a
     # resumed run still has to execute), so shard_index is mapped back
@@ -186,106 +171,19 @@ def dispatch_shards(
         pending = requeued
 
     dropped.sort(key=lambda failure: failure.shard_index)
-    _record_live_accounting(instruments, rounds, retries, clock)
+    if instruments is not None and instruments.enabled:
+        # Process-tier live diagnostics, never canonical.
+        for key, value in (
+            ("dispatch.rounds", rounds),
+            ("dispatch.live_retries", retries),
+            ("sim.backoff_us", int(round(clock.now * 1_000_000))),
+        ):
+            instruments.process[key] = (
+                int(instruments.process.get(key, 0)) + value
+            )
     return DispatchResult(
         payloads=payloads,
         dropped=dropped,
         retries=retries,
-        backoff_seconds=clock.now,
-    )
-
-
-def _record_live_accounting(instruments, rounds, retries, clock) -> None:
-    """Process-tier live dispatch diagnostics (never canonical)."""
-    if instruments is None or not instruments.enabled:
-        return
-    for key, value in (
-        ("dispatch.rounds", rounds),
-        ("dispatch.live_retries", retries),
-        ("sim.backoff_us", int(round(clock.now * 1_000_000))),
-    ):
-        instruments.process[key] = int(instruments.process.get(key, 0)) + value
-
-
-def _dispatch_async(
-    backend: ExecutionBackend,
-    tasks: Sequence[ShardTask],
-    max_retries: int,
-    on_failure: str,
-    clock: SimulatedClock,
-    run_task: Callable[[ShardTask], Dict[str, object]],
-    instruments,
-) -> DispatchResult:
-    """The cooperative dispatch path for :class:`~.backends.AsyncBackend`.
-
-    Each shard gets its own retry coroutine: a failed attempt accounts
-    its backoff on the simulated clock (never blocking the loop) and
-    re-enters immediately, so one slow or flaky shard never holds a
-    retry *round* open for its siblings the way the synchronous
-    round-based loop does.  All accounting is per-shard sums — retries,
-    simulated backoff, drop sets — so the totals are independent of the
-    interleaving and identical to the synchronous path's.
-    """
-    payloads: List[Optional[Dict[str, object]]] = [None] * len(tasks)
-    slot = {task.shard_index: position for position, task in enumerate(tasks)}
-    dropped: List[ShardFailure] = []
-    fatal: List[ShardFailure] = []
-    totals = {"retries": 0, "depth": 0}
-
-    async def run_with_retries(task: ShardTask, semaphore) -> None:
-        while True:
-            async with semaphore:
-                await asyncio.sleep(0)
-                payload = run_task(task)
-            totals["depth"] = max(totals["depth"], task.attempt + 1)
-            if payload.get("ok"):
-                payloads[slot[task.shard_index]] = payload
-                return
-            if task.attempt < max_retries:
-                totals["retries"] += 1
-                # The wait is *accounted*, not awaited: the simulated
-                # clock advances deterministically and the coroutine
-                # re-queues at once, exactly like the sync path's
-                # round-based accounting.
-                clock.sleep(backoff_delay(task.attempt))
-                task = dataclasses.replace(task, attempt=task.attempt + 1)
-                continue
-            failure = ShardFailure(
-                shard_index=task.shard_index,
-                description=str(payload.get("shard") or task.describe()),
-                error=str(payload.get("error") or "unknown worker error"),
-                injected=bool(payload.get("injected")),
-                attempts=task.attempt + 1,
-            )
-            if failure.injected or on_failure == "degrade":
-                dropped.append(failure)
-            else:
-                fatal.append(failure)
-            return
-
-    async def run_all() -> None:
-        semaphore = asyncio.Semaphore(max(1, getattr(backend, "workers", 1)))
-        await asyncio.gather(
-            *(run_with_retries(task, semaphore) for task in tasks)
-        )
-
-    if tasks:
-        asyncio.run(run_all())
-    if fatal:
-        # Deterministic choice under concurrent fatal failures: the
-        # lowest shard index surfaces, matching plan order.
-        failure = min(fatal, key=lambda item: item.shard_index)
-        raise ShardExecutionError(
-            shard_index=failure.shard_index,
-            description=failure.description,
-            attempts=failure.attempts,
-            cause=failure.error,
-        )
-    dropped.sort(key=lambda failure: failure.shard_index)
-    _record_live_accounting(instruments, totals["depth"], totals["retries"], clock)
-    return DispatchResult(
-        payloads=payloads,
-        dropped=dropped,
-        retries=totals["retries"],
         backoff_seconds=clock.now,
     )

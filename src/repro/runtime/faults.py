@@ -13,8 +13,8 @@ Four fault families are supported:
   :class:`~repro.errors.InjectedWorkerCrash` at the shard boundary,
   before any network activity.  Decided by
   ``draw(seed, shard key, attempt)``, so the same shard crashes (or
-  doesn't) no matter which process or thread picks it up, and a retry is
-  a fresh draw.
+  doesn't) no matter which process picks it up, and a retry is a fresh
+  draw.
 * **Shard timeouts** — identical mechanics,
   :class:`~repro.errors.InjectedShardTimeout`; kept as a separate
   channel so crash and timeout schedules are independent.

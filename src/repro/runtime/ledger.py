@@ -622,7 +622,8 @@ class JournalingRunner:
     """A picklable ``run_task`` that journals successful payloads.
 
     Wraps the normal shard entry point so the journal write happens in
-    the worker — thread *or* child process — immediately after the shard
+    the worker — the calling process on the serial backend, the pool
+    process on the process backend — immediately after the shard
     completes.  That is what makes a hard process abort survivable at
     per-shard granularity on every backend: by the time a payload could
     reach the dispatcher, it is already durable.

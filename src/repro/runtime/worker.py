@@ -5,7 +5,7 @@ slice of the crawl from scratch — the scenario config (ecosystems are
 deterministic functions of it), the crawl mode, the shard's week
 ordinals and domain names, and the vulnerability database.  That makes
 the task picklable, so the same :func:`execute_shard` function serves
-the serial, thread, and process backends unchanged.
+the serial and process backends unchanged.
 
 Results travel back as the persistence layer's binary store codec
 (:func:`~repro.crawler.persistence.store_to_bytes`) plus the shard's
@@ -16,11 +16,12 @@ twice over: pickling one ``bytes`` object across the process boundary
 is far cheaper than a deep dict of per-week counters, and the blob is
 already the exact frame the run ledger journals.
 
-Ecosystem construction is the expensive part, so each worker thread or
-process keeps a small cache keyed by (thread, config): consecutive
-shards of the same study reuse one ecosystem.  Threads never share an
-ecosystem — ``set_week`` mutates the virtual network, so sharing across
-threads would race.
+Ecosystem construction is the expensive part, so each interpreter keeps
+a small cache keyed by config digest: consecutive shards of the same
+study reuse one ecosystem.  Shards within an interpreter run one at a
+time (the serial backend loops, each pool process takes one task at a
+time), so a cached ecosystem — whose ``set_week`` mutates the virtual
+network — is never used by two shards at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import collections
 import dataclasses
 import hashlib
 import pickle
-import threading
 import time
 from typing import Dict, Optional, Tuple
 
@@ -116,12 +116,11 @@ class ShardTask:
         )
 
 
-#: (thread ident, config digest) -> ecosystem; bounded LRU per interpreter.
-_ECOSYSTEM_CACHE: "collections.OrderedDict[Tuple[int, str], WebEcosystem]" = (
+#: config digest -> ecosystem; bounded LRU per interpreter.
+_ECOSYSTEM_CACHE: "collections.OrderedDict[str, WebEcosystem]" = (
     collections.OrderedDict()
 )
 _ECOSYSTEM_CACHE_MAX = 8
-_CACHE_LOCK = threading.Lock()
 
 
 def _config_digest(config: ScenarioConfig) -> str:
@@ -129,18 +128,16 @@ def _config_digest(config: ScenarioConfig) -> str:
 
 
 def _ecosystem_for(config: ScenarioConfig) -> WebEcosystem:
-    """A cached, thread-private ecosystem for ``config``."""
-    key = (threading.get_ident(), _config_digest(config))
-    with _CACHE_LOCK:
-        cached = _ECOSYSTEM_CACHE.get(key)
-        if cached is not None:
-            _ECOSYSTEM_CACHE.move_to_end(key)
-            return cached
+    """A cached ecosystem for ``config``."""
+    key = _config_digest(config)
+    cached = _ECOSYSTEM_CACHE.get(key)
+    if cached is not None:
+        _ECOSYSTEM_CACHE.move_to_end(key)
+        return cached
     ecosystem = WebEcosystem(config)
-    with _CACHE_LOCK:
-        _ECOSYSTEM_CACHE[key] = ecosystem
-        while len(_ECOSYSTEM_CACHE) > _ECOSYSTEM_CACHE_MAX:
-            _ECOSYSTEM_CACHE.popitem(last=False)
+    _ECOSYSTEM_CACHE[key] = ecosystem
+    while len(_ECOSYSTEM_CACHE) > _ECOSYSTEM_CACHE_MAX:
+        _ECOSYSTEM_CACHE.popitem(last=False)
     return ecosystem
 
 

@@ -51,6 +51,10 @@ class TestBadFlags:
             ["orchestrate", "explode", "--queue-dir", "/tmp/x"],
             ["orchestrate", "run", "--degrade-policy", "shrug"],
             ["no-such-command"],
+            # Every --backend accepts only auto, serial and process.
+            ["run", "--backend", "thread"],
+            ["orchestrate", "run", "--queue-dir", "queue", "--backend", "async"],
+            ["sweep", "run", "--queue-dir", "queue", "--backend", "thread"],
         ],
     )
     def test_unknown_flags_exit_2(self, argv):

@@ -24,7 +24,6 @@ from repro.runtime import (
     SerialBackend,
     ShardTask,
     SimulatedClock,
-    ThreadBackend,
     backoff_delay,
     dispatch_shards,
     get_backend,
@@ -265,12 +264,13 @@ class TestShardErrorContext:
             raise ValueError("catastrophic fingerprint failure")
 
         monkeypatch.setattr(worker_module, "execute_shard", explode)
-        from repro.options import RunOptions
+        from repro.options import ExecutionOptions, ResilienceOptions, RunOptions
 
         study = Study(
             ScenarioConfig(population=20, seed=5),
-            options=RunOptions.from_kwargs(
-                workers=2, backend="thread", max_shard_retries=1
+            options=RunOptions(
+                execution=ExecutionOptions(workers=2, backend="serial"),
+                resilience=ResilienceOptions(max_shard_retries=1),
             ),
         )
         weeks = study.config.calendar.weeks[:2]
@@ -282,20 +282,21 @@ class TestShardErrorContext:
         assert "shard 0" in message
         assert "week" in message
         assert "domain" in message
-        assert "backend thread" in message
+        assert "backend serial" in message
         assert "failed after 2 attempts" in message
         assert "ValueError: catastrophic fingerprint failure" in message
 
     def test_degraded_study_completes_with_empty_store(self):
-        from repro.options import RunOptions
+        from repro.options import ExecutionOptions, ResilienceOptions, RunOptions
 
         study = Study(
             ScenarioConfig(population=20, seed=5),
-            options=RunOptions.from_kwargs(
-                workers=2,
-                backend="serial",
-                max_shard_retries=1,
-                fault_plan=FaultPlan(seed=1, crash_rate=1.0),
+            options=RunOptions(
+                execution=ExecutionOptions(workers=2, backend="serial"),
+                resilience=ResilienceOptions(
+                    max_shard_retries=1,
+                    fault_plan=FaultPlan(seed=1, crash_rate=1.0),
+                ),
             ),
         )
         weeks = study.config.calendar.weeks[:2]
@@ -318,10 +319,8 @@ class TestShardErrorContext:
 # Backend resolution (the SerialBackend workers fix + auto on 1 CPU)
 # ----------------------------------------------------------------------
 class TestBackendResolution:
-    def test_serial_backend_pins_workers_but_keeps_request(self):
-        backend = SerialBackend(workers=3)
-        assert backend.workers == 1
-        assert backend.requested_workers == 3
+    def test_serial_backend_pins_workers_to_one(self):
+        assert SerialBackend(workers=3).workers == 1
 
     def test_serial_backend_rejects_nonpositive_workers(self):
         # Worker validation is normalized across backends: every
@@ -334,11 +333,11 @@ class TestBackendResolution:
         # The 1-CPU container case: auto with one worker stays serial.
         assert isinstance(get_backend("auto", workers=1), SerialBackend)
         assert isinstance(get_backend("auto", workers=2), ProcessBackend)
-        assert isinstance(get_backend("thread", workers=2), ThreadBackend)
 
     def test_unknown_backend_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="unknown execution backend"):
-            get_backend("quantum")
+        for name in ("quantum", "thread", "async"):
+            with pytest.raises(ConfigError, match="unknown execution backend"):
+                get_backend(name)
 
 
 class TestShardTaskIdentity:

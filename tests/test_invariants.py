@@ -118,7 +118,7 @@ class TestBackendIdentityFaultFree:
             n_weeks = rng.randint(3, 5)
             weeks = config.calendar.weeks[:n_weeks]
             baseline = _serial_baseline(config, weeks)
-            for backend in ("serial", "thread", "async"):
+            for backend in ("serial", "process"):
                 workers = rng.randint(2, 3)
                 shard_size = rng.choice((0, rng.randint(7, 60)))
                 report, store = _run_crawler(
@@ -174,15 +174,12 @@ class TestFaultDeterminism:
             assert report == report2
             assert store == store2
 
-            # The same plan on a different backend (including the
-            # cooperative asyncio one, whose retry path bypasses the
-            # round-barrier dispatcher) drops the same shards and
-            # produces the same bytes.
-            other = rng.choice(("thread", "async"))
+            # The same plan on the process backend drops the same shards
+            # and produces the same bytes.
             report3, store3 = _run_crawler(
                 config,
                 weeks,
-                backend=other,
+                backend="process",
                 workers=3,
                 shard_size=shard_size,
                 max_retries=max_retries,
@@ -196,7 +193,7 @@ class TestFaultDeterminism:
             # Error lines match up to the backend name baked into each
             # shard description.
             assert tuple(
-                line.replace(f"backend {other}", "backend serial")
+                line.replace("backend process", "backend serial")
                 for line in report3.shard_errors
             ) == report.shard_errors
 
@@ -212,7 +209,7 @@ class TestFaultDeterminism:
             report, _ = _run_crawler(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=rng.randint(10, 40),
                 max_retries=rng.randint(0, 1),
@@ -291,7 +288,7 @@ class TestCacheIdentityUnderFaults:
                 config,
                 weeks,
                 mode=mode,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=shard_size,
                 plan=plan,
@@ -301,7 +298,7 @@ class TestCacheIdentityUnderFaults:
                 config,
                 weeks,
                 mode=mode,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=shard_size,
                 plan=plan,
@@ -387,7 +384,7 @@ class TestMetricsIdentity:
             if rng.random() < 0.4:
                 plan = proptest.fault_plan(rng, [w.ordinal for w in weeks])
             docs = {}
-            for backend in ("serial", "thread", "process", "async"):
+            for backend in ("serial", "process"):
                 report, _ = _run_crawler(
                     config,
                     weeks,
@@ -398,12 +395,7 @@ class TestMetricsIdentity:
                 )
                 docs[backend] = report.metrics.canonical_json()
                 assert "backend" not in docs[backend]
-            assert (
-                docs["serial"]
-                == docs["thread"]
-                == docs["process"]
-                == docs["async"]
-            ), (
+            assert docs["serial"] == docs["process"], (
                 f"workers={workers} shard_size={shard_size} "
                 f"plan={'yes' if plan else 'no'}"
             )
@@ -426,7 +418,7 @@ class TestMetricsIdentity:
             baseline = dataset()
             for _ in range(2):
                 variant = dataset(
-                    backend=rng.choice(("serial", "thread")),
+                    backend=rng.choice(("serial", "process")),
                     workers=rng.randint(1, 3),
                     shard_size=rng.choice((0, rng.randint(7, 50))),
                     profile_cache=rng.choice((True, False)),
@@ -446,7 +438,7 @@ class TestMetricsIdentity:
             report, _ = _run_crawler(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=rng.randint(10, 40),
                 max_retries=rng.randint(0, 1),
@@ -488,7 +480,7 @@ class TestMetricsIdentity:
             report1, store1 = _run_crawler(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=shard_size,
                 plan=plan,
@@ -501,7 +493,7 @@ class TestMetricsIdentity:
             _run_crawler(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=shard_size,
                 plan=plan,
@@ -516,7 +508,7 @@ class TestMetricsIdentity:
             report2, store2 = _run_crawler(
                 config,
                 weeks,
-                backend=rng.choice(("serial", "process", "async")),
+                backend=rng.choice(("serial", "process")),
                 workers=2,
                 plan=plan,
                 checkpoint_dir=killed,
@@ -568,7 +560,7 @@ class TestBinaryEncodingIdentity:
             config = ScenarioConfig(population=rng.choice((30, 40)), seed=seed)
             weeks = config.calendar.weeks[: rng.randint(3, 4)]
             baseline = store_to_bytes(self._crawl_store(config, weeks))
-            for backend in ("serial", "thread", "process", "async"):
+            for backend in ("serial", "process"):
                 blob = store_to_bytes(
                     self._crawl_store(
                         config,
@@ -592,7 +584,7 @@ class TestBinaryEncodingIdentity:
                 self._crawl_store(
                     config,
                     weeks,
-                    backend="thread",
+                    backend="serial",
                     workers=2,
                     shard_size=shard_size,
                 )
@@ -601,7 +593,7 @@ class TestBinaryEncodingIdentity:
             self._crawl_store(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=shard_size,
                 checkpoint_dir=str(root),
@@ -614,7 +606,7 @@ class TestBinaryEncodingIdentity:
             resumed = self._crawl_store(
                 config,
                 weeks,
-                backend=rng.choice(("serial", "thread", "process", "async")),
+                backend=rng.choice(("serial", "process")),
                 workers=2,
                 checkpoint_dir=str(root),
                 resume=True,
@@ -732,7 +724,7 @@ class TestLedgerRoundTrip:
             report1, baseline = _run_crawler(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=rng.randint(20, 60),
                 plan=plan,
@@ -757,7 +749,7 @@ class TestLedgerRoundTrip:
             for entry in doomed:
                 entry.unlink()
 
-            backend = rng.choice(("serial", "thread", "process", "async"))
+            backend = rng.choice(("serial", "process"))
             report2, store = _run_crawler(
                 config,
                 weeks,
@@ -812,8 +804,8 @@ class TestServingIdentity:
             mix = build_mix(baseline_store, database, seed=seed)
             baseline = self._serve_digests(baseline_store, mix)
 
-            # Parallel backends intern symbols in worker-dependent order.
-            for backend in ("thread", "process", "async"):
+            # Sharded runs intern symbols in shard-merge order.
+            for backend in ("serial", "process"):
                 store = helper._crawl_store(
                     config,
                     weeks,
@@ -831,7 +823,7 @@ class TestServingIdentity:
             helper._crawl_store(
                 config,
                 weeks,
-                backend="thread",
+                backend="serial",
                 workers=2,
                 shard_size=rng.randint(15, 50),
                 checkpoint_dir=str(root),
@@ -842,7 +834,7 @@ class TestServingIdentity:
             resumed = helper._crawl_store(
                 config,
                 weeks,
-                backend=rng.choice(("serial", "thread", "process", "async")),
+                backend=rng.choice(("serial", "process")),
                 workers=2,
                 checkpoint_dir=str(root),
                 resume=True,

@@ -48,7 +48,7 @@ _SHARD_SIZE = 30  # 40 domains x 4 weeks = 160 cells -> 6 shards
 def _run(
     checkpoint=None,
     resume=False,
-    backend="thread",
+    backend="serial",
     workers=2,
     plan=None,
     config=_CONFIG,
@@ -173,7 +173,7 @@ class TestResume:
         assert report.shards_reexecuted == len(removed)
         assert report.shards_replayed == len(entries) - len(removed)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_resume_is_backend_independent(self, tmp_path, backend, monkeypatch):
         _, baseline = _run(checkpoint=tmp_path / "ref")
         work = tmp_path / f"work-{backend}"
@@ -303,7 +303,7 @@ class TestCorruptionPaths:
             mode="full",
             apply_filter=False,
             execution=ExecutionConfig(
-                backend="thread", workers=2, shard_size=_SHARD_SIZE
+                backend="serial", workers=2, shard_size=_SHARD_SIZE
             ),
             checkpoint_dir=str(tmp_path / "run"),
             resume=True,
@@ -384,7 +384,7 @@ crawler = Crawler(
     WebEcosystem(config),
     mode="manifest",
     apply_filter=False,
-    execution=ExecutionConfig(backend="thread", workers=2, shard_size=30),
+    execution=ExecutionConfig(backend="serial", workers=2, shard_size=30),
     fault_plan=FaultPlan(seed=3, crash_rate=0.25),
     checkpoint_dir=root,
 )
@@ -421,12 +421,12 @@ class TestKillMidRun:
 
     def test_abort_left_a_partial_journal(self, killed_run):
         entries = _journal_entries(killed_run)
-        # The abort fired during the 2nd journal write (thread races can
-        # land an extra completed entry, never fewer than 2 or the lot).
-        assert 2 <= len(entries) < 6
+        # The abort fired right after the 2nd journal write; serial
+        # shards journal one at a time, so exactly 2 entries survive.
+        assert len(entries) == 2
         assert (killed_run / "manifest.json").exists()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_resume_after_kill_is_byte_identical(
         self, killed_run, reference, tmp_path, backend
     ):
@@ -474,7 +474,7 @@ class TestCliCheckpointFlags:
             "--workers",
             "2",
             "--backend",
-            "thread",
+            "serial",
         ]
         assert main(args + ["--save-store", str(ref)]) == 0
         capsys.readouterr()

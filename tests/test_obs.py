@@ -117,8 +117,8 @@ class TestInstruments:
         assert a.canonical_json() == b.canonical_json()
 
     def test_canonical_json_excludes_backend_and_process(self):
-        text = _filled(backend="thread").canonical_json()
-        assert "thread" not in text
+        text = _filled(backend="process").canonical_json()
+        assert "process" not in text
         assert "process" not in json.loads(text)
         assert "wall.fetch_us" not in text
 

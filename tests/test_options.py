@@ -1,13 +1,9 @@
 """The typed run-options API and its single-declaration CLI derivation.
 
-Pins the PR-5 redesign contracts:
+Pins the redesign contracts:
 
-* ``Study(options=RunOptions(...))`` and the legacy flat keyword
-  arguments configure the identical study (same resolved config, same
-  fault plan);
-* legacy kwargs still work but emit exactly one
-  :class:`DeprecationWarning` per construction; mixing both forms is a
-  :class:`~repro.errors.ConfigError`;
+* ``Study`` takes its run knobs only as ``options=RunOptions(...)``;
+  the pre-options flat keywords are a :class:`TypeError`;
 * the CLI flags are derived from the option dataclasses' field
   metadata, so the two surfaces cannot drift — asserted structurally
   (every declared flag exists on the parser) and behaviourally (parsed
@@ -43,70 +39,18 @@ CONFIG = ScenarioConfig(population=30, seed=9)
 
 
 class TestEquivalence:
-    def test_legacy_kwargs_and_options_configure_identically(self, tmp_path):
-        plan = FaultPlan(seed=3, crash_rate=0.2)
-        kwargs = dict(
-            workers=3,
-            backend="thread",
-            shard_size=40,
-            profile_cache=False,
-            max_shard_retries=1,
-            on_shard_failure="degrade",
-            fault_plan=plan,
-            checkpoint_dir=str(tmp_path / "ledger"),
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = Study(CONFIG, **kwargs)
-        modern = Study(
-            CONFIG,
-            options=RunOptions(
-                execution=ExecutionOptions(
-                    workers=3, backend="thread", shard_size=40,
-                    profile_cache=False,
-                ),
-                resilience=ResilienceOptions(
-                    fault_plan=plan, max_shard_retries=1,
-                    on_shard_failure="degrade",
-                ),
-                durability=DurabilityOptions(
-                    checkpoint_dir=str(tmp_path / "ledger")
-                ),
-            ),
-        )
-        assert legacy.config == modern.config
-        assert legacy.fault_plan == modern.fault_plan
-        assert legacy.options == modern.options
-
-    def test_legacy_kwargs_warn_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Study(CONFIG, workers=2, backend="serial", shard_size=10)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "options=RunOptions" in str(deprecations[0].message)
-
     def test_options_form_does_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("error", DeprecationWarning)
             Study(CONFIG, options=RunOptions())
             Study(CONFIG)
-            # None-valued legacy kwargs are no-ops, not deprecated uses.
-            Study(CONFIG, workers=None, resume=False)
         assert caught == []
 
-    def test_mixing_forms_is_an_error(self):
-        with pytest.raises(ConfigError, match="not both"):
-            Study(CONFIG, options=RunOptions(), workers=2)
-
     def test_unknown_kwarg_is_a_type_error(self):
-        with pytest.raises(TypeError, match="wrokers"):
-            Study(CONFIG, wrokers=2)
-
-    def test_run_options_from_kwargs_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="unknown run option"):
-            RunOptions.from_kwargs(wrokers=2)
+        # A typo and a pre-options flat keyword fail alike.
+        for name in ("wrokers", "workers"):
+            with pytest.raises(TypeError, match=name):
+                Study(CONFIG, **{name: 2})
 
 
 class TestValidation:
@@ -115,8 +59,9 @@ class TestValidation:
             ExecutionOptions(workers=0)
         with pytest.raises(ConfigError, match="shard_size must be >= 0"):
             ExecutionOptions(shard_size=-1)
-        with pytest.raises(ConfigError, match="unknown execution backend"):
-            ExecutionOptions(backend="quantum")
+        for backend in ("quantum", "thread", "async"):
+            with pytest.raises(ConfigError, match="unknown execution backend"):
+                ExecutionOptions(backend=backend)
 
     def test_resilience_validation(self):
         with pytest.raises(ConfigError, match="max_shard_retries"):
@@ -172,20 +117,12 @@ class TestCliDerivation:
                     f"{spec['flag']} but the run parser lacks it"
                 )
 
-    def test_every_study_legacy_kwarg_is_a_declared_option_field(self):
-        declared = {
-            field.name
-            for _, option_cls, _, _ in OPTION_GROUPS
-            for field in dataclasses.fields(option_cls)
-        }
-        assert set(Study._LEGACY_OPTION_NAMES) <= declared
-
     def test_parsed_flags_convert_into_the_api_options(self, tmp_path):
         run = self._run_parser()
         namespace = run.parse_args(
             [
                 "--workers", "3",
-                "--backend", "thread",
+                "--backend", "process",
                 "--shard-size", "40",
                 "--no-profile-cache",
                 "--fault-plan", "seed=3,crash=0.2",
@@ -199,7 +136,7 @@ class TestCliDerivation:
         options = options_from_namespace(namespace)
         assert options == RunOptions(
             execution=ExecutionOptions(
-                workers=3, backend="thread", shard_size=40,
+                workers=3, backend="process", shard_size=40,
                 profile_cache=False,
             ),
             resilience=ResilienceOptions(

@@ -476,7 +476,7 @@ class TestKillMidFleet:
             chaos_root / "fleet-metrics.json"
         ).read_bytes()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_convergence_holds_across_backends(
         self, chaos_fleet, tmp_path, backend
     ):

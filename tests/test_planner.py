@@ -256,7 +256,7 @@ class TestPlanFromEndToEnd:
             metrics_path = tmp_path / f"metrics-{seed}.json"
             metrics_path.write_text(report1.metrics.canonical_json())
 
-            backend = rng.choice(("serial", "thread", "async"))
+            backend = rng.choice(("serial", "process"))
             report2, store2 = _run(
                 config, weeks, plan_from=str(metrics_path), backend=backend
             )
@@ -289,7 +289,7 @@ class TestPlanFromEndToEnd:
                 backend=backend,
                 fault_plan=plan,
             )
-            for backend in ("serial", "async", "thread")
+            for backend in ("serial", "process")
         ]
         baseline_report, baseline_store = runs[0]
         for report, store in runs[1:]:
@@ -317,7 +317,7 @@ class TestPlanFromEndToEnd:
             config,
             weeks,
             plan_from=str(metrics_path),
-            backend="async",
+            backend="serial",
             checkpoint_dir=str(root),
         )
         manifest = RunLedger(str(root))._load_manifest()

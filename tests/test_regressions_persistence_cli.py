@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.regressions import Regression, find_regressions
 from repro.crawler.persistence import (
+    export_store_json,
     load_store,
     save_store,
     store_from_dict,
@@ -82,6 +83,29 @@ class TestPersistence:
             prevalence(loaded).average_share == prevalence(store).average_share
         )
 
+    def test_store_writes_fsync_file_and_directory(
+        self, store, tmp_path, monkeypatch
+    ):
+        import os
+        import stat
+
+        real_fsync = os.fsync
+        synced = []
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        for write, name in (
+            (save_store, "store.bin"),
+            (export_store_json, "store.json"),
+        ):
+            synced.clear()
+            write(store, tmp_path / name)
+            # The file's bytes first, then the directory holding its name.
+            assert synced == [False, True], name
+
     def test_bad_format_rejected(self, study):
         with pytest.raises(StoreError):
             store_from_dict({"format": 999}, study.config.calendar)
@@ -155,13 +179,13 @@ class TestCli:
                 "--workers",
                 "2",
                 "--backend",
-                "thread",
+                "serial",
             ]
         )
         assert code == 0
         captured = capsys.readouterr()
         assert "x 6 weeks" in captured.err
-        assert "thread backend, 2 workers" in captured.err
+        assert "serial backend, 2 workers" in captured.err
         assert " in " in captured.err and "s (" in captured.err  # timing
 
     def test_run_invalid_weeks(self, capsys):
@@ -184,7 +208,7 @@ class TestCli:
                 "--workers",
                 "2",
                 "--backend",
-                "thread",
+                "serial",
                 "--fault-plan",
                 "seed=1,crash=1.0",
                 "--max-shard-retries",

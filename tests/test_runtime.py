@@ -15,10 +15,8 @@ from repro.crawler import Crawler, ObservationStore
 from repro.crawler.persistence import store_from_dict, store_to_dict
 from repro.errors import ConfigError, CrawlError, StoreError
 from repro.runtime import (
-    AsyncBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
     plan_shards,
 )
@@ -88,11 +86,12 @@ class TestExecutionConfig:
 
     def test_auto_promotes_with_workers(self):
         assert ExecutionConfig(workers=4).resolved_backend == "process"
-        assert ExecutionConfig(backend="thread", workers=4).resolved_backend == "thread"
+        assert ExecutionConfig(backend="serial", workers=4).resolved_backend == "serial"
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ExecutionConfig(backend="gpu")
+        for backend in ("gpu", "thread", "async"):
+            with pytest.raises(ConfigError, match="unknown execution backend"):
+                ExecutionConfig(backend=backend)
         with pytest.raises(ConfigError):
             ExecutionConfig(workers=0)
         with pytest.raises(ConfigError):
@@ -100,17 +99,16 @@ class TestExecutionConfig:
 
     def test_get_backend(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread", 2), ThreadBackend)
         assert isinstance(get_backend("process", 2), ProcessBackend)
-        assert isinstance(get_backend("async", 2), AsyncBackend)
         assert isinstance(get_backend("auto", 1), SerialBackend)
         assert isinstance(get_backend("auto", 2), ProcessBackend)
         # Validation is normalized in get_backend: unknown names and bad
         # worker counts both raise the typed ConfigError, for every
         # backend, before any constructor runs.
-        with pytest.raises(ConfigError, match="unknown execution backend"):
-            get_backend("quantum")
-        for name in ("serial", "thread", "process", "async", "auto"):
+        for name in ("quantum", "thread", "async"):
+            with pytest.raises(ConfigError, match="unknown execution backend"):
+                get_backend(name)
+        for name in ("serial", "process", "auto"):
             with pytest.raises(ConfigError, match="workers must be >= 1"):
                 get_backend(name, workers=0)
 
@@ -118,9 +116,7 @@ class TestExecutionConfig:
         tasks = list(range(7))
         expected = [x * x for x in tasks]
         assert SerialBackend().map(_square, tasks) == expected
-        assert ThreadBackend(workers=3).map(_square, tasks) == expected
         assert ProcessBackend(workers=2).map(_square, tasks) == expected
-        assert AsyncBackend(workers=3).map(_square, tasks) == expected
 
 
 def _fresh_store(config):
@@ -269,9 +265,8 @@ class TestBackendEquivalence:
         "backend,workers,shard_size",
         [
             ("serial", 3, 0),
-            ("thread", 3, 0),
             ("process", 2, 0),
-            ("thread", 2, 200),  # force week-axis sharding too
+            ("serial", 2, 200),  # force week-axis sharding too
         ],
     )
     def test_sharded_matches_serial(self, serial_study, backend, workers, shard_size):
@@ -303,7 +298,7 @@ class TestBackendEquivalence:
             config,
             mode="full",
             options=RunOptions(
-                execution=ExecutionOptions(workers=3, backend="thread")
+                execution=ExecutionOptions(workers=3, backend="serial")
             ),
         )
         sharded.run(weeks=weeks)
@@ -314,7 +309,7 @@ class TestIncrementalEquivalence:
     """The profile cache never changes the dataset, on any backend.
 
     A full crawl with the cache enabled must persist byte-identically to
-    a cache-disabled crawl, across serial/thread/process backends and
+    a cache-disabled crawl, across serial/process backends and
     odd shard sizes (shard boundaries reset the per-shard cache, so
     uneven shards exercise different hit patterns over the same data).
     """
@@ -324,12 +319,12 @@ class TestIncrementalEquivalence:
 
     @pytest.fixture(scope="class")
     def uncached_full(self):
-        from repro.options import RunOptions
+        from repro.options import ExecutionOptions, RunOptions
 
         study = Study(
             self.CONFIG,
             mode="full",
-            options=RunOptions.from_kwargs(profile_cache=False),
+            options=RunOptions(execution=ExecutionOptions(profile_cache=False)),
         )
         study.run(weeks=self.WEEKS)
         return study
@@ -339,9 +334,9 @@ class TestIncrementalEquivalence:
         [
             ("serial", 1, 0),
             ("serial", 1, 37),  # odd shard size, serial dispatch path
-            ("thread", 3, 0),
+            ("serial", 3, 0),
             ("process", 2, 0),
-            ("thread", 2, 113),  # odd shard size, forces week splits
+            ("serial", 2, 113),  # odd shard size, forces week splits
         ],
     )
     def test_cached_full_crawl_matches_uncached(
@@ -386,7 +381,7 @@ class TestIncrementalEquivalence:
             ecosystem,
             mode="manifest",
             apply_filter=False,
-            execution=ExecutionConfig(backend="thread", workers=2),
+            execution=ExecutionConfig(backend="serial", workers=2),
             incremental=IncrementalConfig(profile_cache=False),
         )
         report = crawler.run(weeks=weeks)
@@ -395,11 +390,14 @@ class TestIncrementalEquivalence:
     def test_manifest_mode_cached_matches_uncached(self):
         config = ScenarioConfig(population=100, seed=55)
         weeks = config.calendar.weeks[:8]
-        from repro.options import RunOptions
+        from repro.options import ExecutionOptions, RunOptions
 
-        off = Study(config, options=RunOptions.from_kwargs(profile_cache=False))
+        def cache(enabled):
+            return RunOptions(execution=ExecutionOptions(profile_cache=enabled))
+
+        off = Study(config, options=cache(False))
         off.run(weeks=weeks)
-        on = Study(config, options=RunOptions.from_kwargs(profile_cache=True))
+        on = Study(config, options=cache(True))
         report = on.run(weeks=weeks)
         assert report.cache_hits > 0
         # Manifest mode looks up once per collected page.

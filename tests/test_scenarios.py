@@ -251,24 +251,9 @@ class TestCveDrift:
 
 
 # ----------------------------------------------------------------------
-# Satellites: mixing-forms error, fault vocabulary, analysis registry
+# Satellites: fault vocabulary, analysis registry
 # ----------------------------------------------------------------------
 class TestSatellites:
-    def test_mixing_options_and_legacy_kwargs_names_both(self):
-        from repro.options import ExecutionOptions, RunOptions
-
-        options = RunOptions(execution=ExecutionOptions(workers=2))
-        with pytest.raises(ConfigError) as excinfo:
-            Study(
-                ScenarioConfig(population=10),
-                options=options,
-                backend="thread",
-            )
-        message = str(excinfo.value)
-        assert "not both" in message
-        assert "execution.workers" in message
-        assert "backend" in message
-
     def test_fault_plan_errors_list_sorted_kinds(self):
         with pytest.raises(ConfigError) as excinfo:
             FaultPlan.from_spec("wat=1")
