@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..netsim.url import Url, parse_url, urljoin
 from .cdn import CdnCatalog, default_cdn_catalog
-from .html_scan import Tag, inline_scripts, object_groups, scan_tags
+from .html_scan import PageScan, Tag, scan_page
 from .profile import FlashEmbed, LibraryDetection, PageProfile, ScriptAccess
 from .signatures import LibrarySignature, default_signatures
 from .untrusted import is_untrusted_host
@@ -86,7 +86,7 @@ class FingerprintEngine:
     def _fingerprint(self, html: str, page_url: str) -> PageProfile:
         base = parse_url(page_url) if isinstance(page_url, str) else page_url
         page_host = _normalize_host(base.host)
-        tags = scan_tags(html)
+        scan = scan_page(html)
 
         resource_types: Set[str] = set()
         libraries: List[LibraryDetection] = []
@@ -96,56 +96,63 @@ class FingerprintEngine:
         wordpress_version: Optional[str] = None
         wordpress_markers = False
 
-        for tag in tags:
-            if tag.name == "script":
-                src = tag.get("src")
+        for tag in scan.tags:
+            name = tag.name
+            attrs = tag.attrs  # keys are lowercase: read it as a plain dict
+            if name == "script":
+                src = attrs.get("src")
                 if src:
                     script_count += 1
-                    detection, external = self._inspect_script(tag, src, base, page_host)
-                    if external:
-                        external_count += 1
-                        try:
-                            host = _normalize_host(urljoin(base, src).host)
-                        except Exception:
-                            host = None
-                        if host and is_untrusted_host(host):
-                            untrusted_scripts.append(
-                                (host, src, tag.has("integrity"))
-                            )
-                    if detection is not None:
-                        libraries.append(detection)
+                    try:
+                        resolved: Optional[Url] = urljoin(base, src)
+                    except Exception:
+                        resolved = None
+                    if resolved is not None:
+                        host = _normalize_host(resolved.host)
+                        external = host is not None and host != page_host
+                        if external:
+                            external_count += 1
+                            if host and is_untrusted_host(host):
+                                untrusted_scripts.append(
+                                    (host, src, "integrity" in attrs)
+                                )
+                        detection = self._detect_library(
+                            tag, src, resolved, host, external
+                        )
+                        if detection is not None:
+                            libraries.append(detection)
                     resource_types.add("javascript")
                     self._classify_url_resource(src, resource_types)
                     if "/wp-content/" in src or "/wp-includes/" in src:
                         wordpress_markers = True
                 else:
                     resource_types.add("javascript")
-            elif tag.name == "style":
+            elif name == "style":
                 resource_types.add("css")
-            elif tag.name == "link":
+            elif name == "link":
                 self._inspect_link(tag, resource_types)
-                href = tag.get("href")
+                href = attrs.get("href")
                 if href and ("/wp-content/" in href or "/wp-includes/" in href):
                     wordpress_markers = True
-            elif tag.name == "meta":
-                if tag.get("name").lower() == "generator":
-                    match = _WP_GENERATOR_RE.search(tag.get("content"))
+            elif name == "meta":
+                if attrs.get("name", "").lower() == "generator":
+                    match = _WP_GENERATOR_RE.search(attrs.get("content", ""))
                     if match:
                         wordpress_version = match.group("version")
-            elif tag.name == "img":
-                src = tag.get("src")
+            elif name == "img":
+                src = attrs.get("src")
                 if src:
                     self._classify_url_resource(src, resource_types)
-            elif tag.name == "svg":
+            elif name == "svg":
                 resource_types.add("svg")
 
         # Inline banners: catch internally inlined library copies that
         # have no URL (only for libraries not already seen).
         seen = {d.library for d in libraries}
-        for body in inline_scripts(html):
+        for body in scan.inline_scripts:
             resource_types.add("javascript")
             for signature in self.signatures:
-                if signature.library in seen:
+                if signature.inline_pattern is None or signature.library in seen:
                     continue
                 matched = signature.match_inline(body)
                 if matched is None:
@@ -164,7 +171,7 @@ class FingerprintEngine:
                 seen.add(signature.library)
                 break
 
-        flash_embeds = self._inspect_flash(html, tags, base, page_host)
+        flash_embeds = self._inspect_flash(scan, base, page_host)
         if flash_embeds:
             resource_types.add("flash")
 
@@ -185,23 +192,20 @@ class FingerprintEngine:
     # ------------------------------------------------------------------
     # Script inspection
     # ------------------------------------------------------------------
-    def _inspect_script(
-        self, tag: Tag, src: str, base: Url, page_host: Optional[str]
-    ) -> Tuple[Optional[LibraryDetection], bool]:
-        try:
-            resolved = urljoin(base, src)
-        except Exception:
-            return None, False
-        host = _normalize_host(resolved.host)
-        external = host is not None and host != page_host
-
+    def _detect_library(
+        self,
+        tag: Tag,
+        src: str,
+        resolved: Url,
+        host: Optional[str],
+        external: bool,
+    ) -> Optional[LibraryDetection]:
         # Literal-substring prefilter: only signatures whose anchor
         # appears in the (lowercased) path+query pay for regex matching.
         lower_target = (
             resolved.path + ("?" + resolved.query if resolved.query else "")
         ).lower()
 
-        detection: Optional[LibraryDetection] = None
         for signature in self.signatures:
             if not signature.could_match_url(lower_target):
                 continue
@@ -211,7 +215,7 @@ class FingerprintEngine:
             if matched is None:
                 continue
             version, evidence = matched
-            detection = LibraryDetection(
+            return LibraryDetection(
                 library=signature.library,
                 version=version,
                 source_url=src,
@@ -219,21 +223,21 @@ class FingerprintEngine:
                 external=external,
                 cdn_host=self.cdn_catalog.match(host) if external else None,
                 untrusted_host=external and is_untrusted_host(host),
-                has_integrity=tag.has("integrity"),
-                crossorigin=tag.get("crossorigin") if tag.has("crossorigin") else None,
+                has_integrity="integrity" in tag.attrs,
+                crossorigin=tag.attrs.get("crossorigin"),
                 evidence=evidence,
             )
-            break
-        return detection, external
+        return None
 
     # ------------------------------------------------------------------
     # Non-script resources
     # ------------------------------------------------------------------
     @staticmethod
     def _inspect_link(tag: Tag, resource_types: Set[str]) -> None:
-        rel = tag.get("rel").lower()
-        href = tag.get("href")
-        link_type = tag.get("type").lower()
+        attrs = tag.attrs
+        rel = attrs.get("rel", "").lower()
+        href = attrs.get("href")
+        link_type = attrs.get("type", "").lower()
         if "stylesheet" in rel:
             resource_types.add("css")
         if "icon" in rel:
@@ -263,15 +267,11 @@ class FingerprintEngine:
     # Flash
     # ------------------------------------------------------------------
     def _inspect_flash(
-        self,
-        html: str,
-        tags: Sequence[Tag],
-        base: Url,
-        page_host: Optional[str],
+        self, scan: PageScan, base: Url, page_host: Optional[str]
     ) -> List[FlashEmbed]:
         embeds: List[FlashEmbed] = []
 
-        for obj, params in object_groups(html):
+        for obj, params in scan.object_groups:
             movie: Optional[str] = None
             access_value: Optional[str] = None
             data = obj.get("data")
@@ -289,7 +289,7 @@ class FingerprintEngine:
                 self._build_embed(obj, movie, access_value, "object", base, page_host)
             )
 
-        for tag in tags:
+        for tag in scan.tags:
             if tag.name != "embed":
                 continue
             src = tag.get("src")

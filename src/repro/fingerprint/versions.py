@@ -87,11 +87,9 @@ def extract_version(
     carry the *platform* version in the path but the library version in
     the query.
     """
-    for candidate in (
-        version_from_filename(filename, library_token),
-        version_from_query(query),
-        version_from_path_segment(path),
-    ):
-        if candidate is not None:
-            return candidate
-    return None
+    version = version_from_filename(filename, library_token)
+    if version is None:
+        version = version_from_query(query)
+    if version is None:
+        version = version_from_path_segment(path)
+    return version

@@ -1,4 +1,5 @@
-"""A tiny stdlib-only property-testing layer for the invariant suite.
+"""A tiny stdlib-only property-testing layer for the invariant suite
+and the page-scanner equivalence tests.
 
 No hypothesis dependency: generators are plain functions over
 ``random.Random``, and :func:`forall` sweeps a property over a fixed
@@ -101,4 +102,112 @@ def fault_plan(rng: random.Random, week_ordinals: Sequence[int]):
         surge_connect_failure_rate=rng.choice((0.0, 0.2)),
         surge_timeout_rate=rng.choice((0.0, 0.3)),
         surge_server_error_rate=rng.choice((0.0, 0.4)),
+    )
+
+
+#: Tag names for :func:`tag_soup`: the scanner's own names plus near
+#: misses it must not take for them.
+_SOUP_TAGS = (
+    "script", "link", "meta", "style", "img", "object", "embed", "param",
+    "iframe", "svg", "div", "p", "scripts", "script-x", "objects",
+)
+_SOUP_ATTRS = (
+    "src", "href", "name", "value", "data-x", "async", "x:y", "a.b",
+    "AllowScriptAccess", "integrity", "width", "type",
+)
+_SOUP_VALUES = (
+    "/a.js", "/m.swf", "always", "", "x y", "/dir/", "<b>", "</object>",
+    "<script>", "</script >", "a=b", "v1.2",
+)
+_SOUP_TEXT = (
+    "hello", " ", "\n", "a < b", "x > y", "<", ">", "<!", "<!-", "-->",
+    "</", "'", '"', "=",
+)
+
+
+def _mixed_case(rng: random.Random, word: str) -> str:
+    return "".join(c.upper() if rng.random() < 0.3 else c for c in word)
+
+
+def _soup_attr(rng: random.Random) -> str:
+    name = _mixed_case(rng, rng.choice(_SOUP_ATTRS))
+    value = rng.choice(_SOUP_VALUES)
+    style = rng.randrange(5)
+    if style == 0:
+        return name  # valueless
+    if style == 1:
+        return f'{name}="{value}"'
+    if style == 2:
+        return f"{name}='{value}'"
+    if style == 3:
+        return f"{name}={value.replace(' ', '') or 'x'}"  # unquoted
+    return f'{name} = "{value}"'
+
+
+def _soup_open(rng: random.Random, name: str) -> str:
+    attrs = "".join(
+        rng.choice((" ", "  ", "\n")) + _soup_attr(rng)
+        for _ in range(rng.randrange(4))
+    )
+    return f"<{_mixed_case(rng, name)}{attrs}{rng.choice(('', '', '/', ' /'))}>"
+
+
+def _soup_fragment(rng: random.Random, depth: int = 0) -> str:
+    kind = rng.randrange(10)
+    if kind == 0:
+        return rng.choice(_SOUP_TEXT)
+    if kind == 1:
+        return _soup_open(rng, rng.choice(_SOUP_TAGS))
+    if kind == 2:  # a whole inline script, often with tag text inside
+        body = rng.choice(
+            (
+                "var a=1;",
+                "",
+                "  ",
+                "/*! jQuery v1.12.4 */",
+                "document.write('<script src=/x.js></scr' + 'ipt>');",
+                "document.write('<img src=\"/y.png\">');",
+                "if (a<b) { c(); }",
+            )
+        )
+        close = rng.choice(("</script>", "</SCRIPT >", "</script\n>"))
+        return _soup_open(rng, "script") + body + close
+    if kind == 3:  # an unclosed script
+        return _soup_open(rng, "script") + rng.choice(_SOUP_TEXT)
+    if kind == 4:  # an object with params, sometimes nested or left open
+        inner = "".join(
+            _soup_open(rng, rng.choice(("param", "param", "object", "embed")))
+            for _ in range(rng.randrange(4))
+        )
+        close = rng.choice(("</object>", "</object >", "</OBJECT\n>", ""))
+        return _soup_open(rng, "object") + inner + close
+    if kind == 5:
+        return _soup_open(rng, "param")
+    if kind == 6:
+        return rng.choice(
+            ("</object>", "</object >", "</script>", "</Script  >", "</div>", "</objects>")
+        )
+    if kind == 7 and depth < 2:  # a comment around other markup
+        inner = "".join(
+            _soup_fragment(rng, depth + 1) for _ in range(rng.randrange(3))
+        )
+        return "<!--" + inner + rng.choice(("-->", "-->", "", "<!-- -->-->"))
+    if kind == 8:
+        return rng.choice(
+            ("<!---->", "<!<!-- x -->-- y -->", "<!-- <script src=/c.js> -->")
+        )
+    return rng.choice(("<div>", "<p>", "<br/>", "<html>", "</body>"))
+
+
+def tag_soup(rng: random.Random, max_fragments: int = 24) -> str:
+    """Seeded, deliberately malformed HTML for the page scanner.
+
+    It mixes case; double-quoted, single-quoted, unquoted and valueless
+    attributes; ``/>``; tag text inside script bodies; unclosed
+    ``<script>``s; stray and nested ``<param>``/``<object>``;
+    ``</object >``; markup inside attribute values; and comments, some
+    unclosed and some that re-form after one strip.
+    """
+    return "".join(
+        _soup_fragment(rng) for _ in range(rng.randint(1, max_fragments))
     )

@@ -155,6 +155,16 @@ class TestFlash:
         html = '<embed src="https://other.example/m.swf" width="1" height="1">'
         assert fp(html).flash_embeds[0].external
 
+    def test_param_after_close_with_comment_before(self, fp):
+        html = (
+            "<!-- old banner -->"
+            '<object width="400" height="300"><param name="movie" value="/m.swf">'
+            '</object><param name="AllowScriptAccess" value="always">'
+        )
+        (embed,) = fp(html).flash_embeds
+        assert embed.script_access_specified is False
+        assert embed.script_access is None
+
 
 class TestCounts:
     def test_script_counts(self, fp):

@@ -1,7 +1,17 @@
 """HTML tag scanner."""
 
+import pytest
+
 from repro.fingerprint import Tag, scan_tags
-from repro.fingerprint.html_scan import inline_scripts, object_groups
+from repro.fingerprint.html_scan import scan_page
+
+
+def inline_scripts(html):
+    return scan_page(html).inline_scripts
+
+
+def object_groups(html):
+    return scan_page(html).object_groups
 
 
 class TestScanTags:
@@ -56,6 +66,18 @@ class TestInlineScripts:
     def test_multiline(self):
         assert inline_scripts("<script>\nvar a=1;\n</script>") == ["var a=1;"]
 
+    def test_commented_out_body_skipped(self):
+        html = "<!-- <script>/*! Bootstrap v3.3.7 */</script> --><script>x()</script>"
+        assert inline_scripts(html) == ["x()"]
+
+    def test_unclosed_script_has_no_body(self):
+        assert inline_scripts("<script>var a=1;<img src=/a.png>") == []
+
+    def test_tag_text_inside_body(self):
+        html = "<script>document.write('<script src=/a.js>');</script>"
+        assert inline_scripts(html) == ["document.write('<script src=/a.js>');"]
+        assert [t.get("src") for t in scan_tags(html)] == ["", "/a.js"]
+
 
 class TestObjectGroups:
     def test_params_grouped_with_object(self):
@@ -81,6 +103,24 @@ class TestObjectGroups:
 
     def test_param_after_close_not_attached(self):
         html = '<object></object><param name="movie" value="/x.swf">'
-        groups = object_groups(html)
-        assert len(groups) == 1
-        assert groups[0][1] == []
+        # A stripped comment before the object must not shift the
+        # ``</object>`` position relative to the tag positions.
+        for page in (
+            html,
+            "<!-- a comment -->" + html,
+            html.replace("</object>", "</object >"),
+        ):
+            groups = object_groups(page)
+            assert len(groups) == 1
+            assert groups[0][1] == []
+
+    def test_no_object_no_groups(self):
+        assert object_groups('<param name="movie" value="/x.swf">') == []
+
+
+class TestTag:
+    def test_tag_is_immutable(self):
+        tag = scan_tags('<script src="/a.js"></script>')[0]
+        with pytest.raises(AttributeError):
+            tag.name = "link"
+        assert tag == Tag("script", {"src": "/a.js"}, 0)

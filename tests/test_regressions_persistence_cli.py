@@ -128,9 +128,19 @@ class TestCli:
     def test_scan_clean_file(self, tmp_path, capsys):
         from repro.cli import main
 
-        page = tmp_path / "page.html"
-        page.write_text("<html><body>nothing here</body></html>")
-        assert main(["scan", str(page)]) == 0
+        pages = {
+            "page.html": "<html><body>nothing here</body></html>",
+            # Commented-out markup is not on the page, inline scripts
+            # included.
+            "commented.html": (
+                "<html><body><!-- <script>/*! Bootstrap v3.3.7 */</script> -->"
+                "</body></html>"
+            ),
+        }
+        for name, html in pages.items():
+            page = tmp_path / name
+            page.write_text(html)
+            assert main(["scan", str(page)]) == 0, name
 
     def test_scan_missing_file(self, capsys):
         from repro.cli import main
