@@ -15,6 +15,8 @@ while preserving every rate and trend shape.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
 from typing import Optional, Tuple
 
 from .errors import ConfigError
@@ -465,6 +467,25 @@ class ScenarioConfig:
     def scale_factor(self) -> float:
         """Ratio of the paper's weekly-accessible average to ours."""
         return 782_300 / float(self.population)
+
+
+def scenario_digest(config: ScenarioConfig) -> str:
+    """Digest of everything in the config that determines the dataset.
+
+    Execution, incremental, and observability knobs are normalized away
+    first — they can never change a byte (the runtime determinism
+    contract), so resuming with different workers, backend, shard size,
+    cache, or metrics settings is legal and produces the identical
+    store.  The run ledger pins runs with it, and the web generator
+    keys its per-process site-state cache on it.
+    """
+    normalized = dataclasses.replace(
+        config,
+        execution=ExecutionConfig(),
+        incremental=IncrementalConfig(),
+        observability=ObservabilityConfig(),
+    )
+    return hashlib.sha256(pickle.dumps(normalized)).hexdigest()
 
 
 def small_scenario(seed: int = 20230926) -> ScenarioConfig:

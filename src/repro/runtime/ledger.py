@@ -61,12 +61,7 @@ import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..config import (
-    ExecutionConfig,
-    IncrementalConfig,
-    ObservabilityConfig,
-    ScenarioConfig,
-)
+from ..config import ScenarioConfig, scenario_digest
 from ..errors import CheckpointError, CheckpointMismatchError
 from .sharding import Shard
 from .worker import ShardTask, execute_shard_safely, shard_coverage_key
@@ -142,24 +137,6 @@ def _sha256_text(text: str) -> str:
 # ----------------------------------------------------------------------
 # Digests pinning a run's identity
 # ----------------------------------------------------------------------
-def scenario_digest(config: ScenarioConfig) -> str:
-    """Digest of everything in the config that determines the dataset.
-
-    Execution, incremental, and observability knobs are normalized away
-    first — they can never change a byte (the runtime determinism
-    contract), so resuming with different workers, backend, shard size,
-    cache, or metrics settings is legal and produces the identical
-    store.
-    """
-    normalized = dataclasses.replace(
-        config,
-        execution=ExecutionConfig(),
-        incremental=IncrementalConfig(),
-        observability=ObservabilityConfig(),
-    )
-    return hashlib.sha256(pickle.dumps(normalized)).hexdigest()
-
-
 def fault_plan_digest(fault_plan) -> str:
     """Digest of the fault plan (``"none"`` for fault-free runs)."""
     if fault_plan is None:

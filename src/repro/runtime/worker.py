@@ -16,12 +16,19 @@ twice over: pickling one ``bytes`` object across the process boundary
 is far cheaper than a deep dict of per-week counters, and the blob is
 already the exact frame the run ledger journals.
 
-Ecosystem construction is the expensive part, so each interpreter keeps
-a small cache keyed by config digest: consecutive shards of the same
-study reuse one ecosystem.  Shards within an interpreter run one at a
-time (the serial backend loops, each pool process takes one task at a
-time), so a cached ecosystem — whose ``set_week`` mutates the virtual
-network — is never used by two shards at once.
+Each interpreter keeps a small cache of ecosystems keyed by a digest
+of the whole config: consecutive shards of the same study reuse one
+ecosystem.  A miss builds the domain population and wires the hosts,
+about 20 ms for 1,000 domains; the site states, once the expensive
+part, come from :mod:`repro.webgen.ecosystem`'s per-process site-state
+cache, which every ecosystem of the same dataset shares.  The key
+stays the whole config because the crawler reads the run's
+profile-store paths from ``ecosystem.config.incremental``, so one
+ecosystem cannot serve two ticks of a fleet.  Shards within an
+interpreter run one at a time (the serial backend loops, each pool
+process takes one task at a time), so a cached ecosystem — whose
+``set_week`` mutates the virtual network — is never used by two shards
+at once.
 """
 
 from __future__ import annotations

@@ -74,6 +74,21 @@ class ReleaseCatalog:
         self._by_date: Tuple[Release, ...] = tuple(
             sorted(parsed, key=lambda r: (r.date, r.version))
         )
+        self._dates: Tuple[datetime.date, ...] = tuple(r.date for r in self._by_date)
+        # ``_newest_two[i]``: the newest and second-newest release, by
+        # version, among the first ``i`` releases by date (None where
+        # fewer exist).  Versions are unique, so each slot names one
+        # specific release.
+        newest: Optional[Release] = None
+        runner_up: Optional[Release] = None
+        newest_two: List[Tuple[Optional[Release], Optional[Release]]] = [(None, None)]
+        for release in self._by_date:
+            if newest is None or newest.version < release.version:
+                newest, runner_up = release, newest
+            elif runner_up is None or runner_up.version < release.version:
+                runner_up = release
+            newest_two.append((newest, runner_up))
+        self._newest_two = tuple(newest_two)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -126,15 +141,20 @@ class ReleaseCatalog:
     # ------------------------------------------------------------------
     def released_on_or_before(self, date: datetime.date) -> Tuple[Release, ...]:
         """Releases available at ``date``, in release-date order."""
-        hi = bisect.bisect_right([r.date for r in self._by_date], date)
-        return self._by_date[:hi]
+        return self._by_date[: bisect.bisect_right(self._dates, date)]
+
+    def newest_two_as_of(
+        self, date: datetime.date
+    ) -> Tuple[Optional[Release], Optional[Release]]:
+        """The highest and second-highest versions released at ``date``.
+
+        Either is None when fewer releases were out by then.
+        """
+        return self._newest_two[bisect.bisect_right(self._dates, date)]
 
     def latest_as_of(self, date: datetime.date) -> Optional[Release]:
         """The highest version already released at ``date``."""
-        available = self.released_on_or_before(date)
-        if not available:
-            return None
-        return max(available, key=lambda r: r.version)
+        return self.newest_two_as_of(date)[0]
 
     def released_between(
         self, start: datetime.date, end: datetime.date

@@ -41,13 +41,14 @@ class Version:
         VersionError: If ``text`` is not a recognizable version string.
     """
 
-    __slots__ = ("_text", "_release", "_pre")
+    __slots__ = ("_text", "_release", "_pre", "_key")
 
     def __init__(self, text: str) -> None:
         if isinstance(text, Version):  # defensive copy-construction
             self._text = text._text
             self._release = text._release
             self._pre = text._pre
+            self._key = text._key
             return
         if not isinstance(text, str):
             raise VersionError(f"version must be a string, got {type(text)!r}")
@@ -60,6 +61,18 @@ class Version:
         )
         pre = match.group("pre")
         self._pre: Optional[str] = pre.lower() if pre else None
+        # The comparison key: the release with trailing zeros trimmed
+        # (so 1.2 == 1.2.0; components are non-negative, so trimmed
+        # tuples order exactly as zero-padded ones), then 0 for a
+        # pre-release and 1 for a final release, then the tag.
+        release = self._release
+        while len(release) > 1 and release[-1] == 0:
+            release = release[:-1]
+        self._key: Tuple[Tuple[int, ...], int, str] = (
+            release,
+            0 if self._pre is not None else 1,
+            self._pre or "",
+        )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -98,40 +111,19 @@ class Version:
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
-    def _key(self) -> Tuple[Tuple[int, ...], int, str]:
-        # Pad handled in comparison; pre-releases sort before releases.
-        return (self._release, 0 if self._pre is not None else 1, self._pre or "")
-
-    @staticmethod
-    def _padded(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        width = max(len(a), len(b))
-        return a + (0,) * (width - len(a)), b + (0,) * (width - len(b))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        a, b = self._padded(self._release, other._release)
-        return a == b and self._pre == other._pre
+        return self._key == other._key
 
     def __lt__(self, other: "Version") -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        a, b = self._padded(self._release, other._release)
-        if a != b:
-            return a < b
-        # Same numeric release: pre-release sorts first.
-        if (self._pre is None) != (other._pre is None):
-            return self._pre is not None
-        if self._pre is None:
-            return False
-        return self._pre < other._pre
+        return self._key < other._key
 
     def __hash__(self) -> int:
-        # Trim trailing zeros so 1.2 == 1.2.0 hash identically.
-        release = self._release
-        while len(release) > 1 and release[-1] == 0:
-            release = release[:-1]
-        return hash((release, self._pre))
+        # The trimmed release, so 1.2 == 1.2.0 hash identically.
+        return hash((self._key[0], self._pre))
 
     def __repr__(self) -> str:
         return f"Version({self._text!r})"

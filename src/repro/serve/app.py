@@ -16,8 +16,8 @@ matrix):
   is computed from the store through explicitly-ordered iterations —
   sorted decoded symbols, fixed calendar order, exact integer
   accumulation — never through symbol-intern or dict insertion order,
-  which differ across store provenance (serial vs process vs async
-  backends, kill/resume, shard sizes) even when the dataset is
+  which differ across store provenance (serial vs process backends,
+  kill/resume, shard sizes) even when the dataset is
   identical.  Bodies are canonical JSON (sorted keys, no whitespace,
   trailing newline) and the ETag is the sha256 of the body, so equal
   datasets serve equal bytes.

@@ -26,6 +26,10 @@ class ServeHandler(BaseHTTPRequestHandler):
     app: ServeApp = None
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: ``end_headers`` flushes the headers, so the body is a second
+    #: small write on a keep-alive connection; with Nagle's algorithm on,
+    #: that write waits for the client's delayed ACK (about 40 ms).
+    disable_nagle_algorithm = True
 
     def _dispatch(self, method: str) -> None:
         parts = urlsplit(self.path)

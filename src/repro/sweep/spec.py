@@ -10,7 +10,7 @@ assignment.  The grid is declared as text::
 ``pack:name=v1|v2,name2=v3`` where ``|`` lists alternative values and
 ``,`` separates parameters — the segment expands to the cartesian
 product of its parameter values.  Every point is a *full scenario*: it
-gets its own :func:`~repro.runtime.ledger.scenario_digest` (the pack
+gets its own :func:`~repro.config.scenario_digest` (the pack
 selection is part of dataset identity), its own checkpointed crawl, and
 its own analyses document, before the fold compares them.
 
@@ -27,7 +27,7 @@ import dataclasses
 import itertools
 from typing import Dict, List, Tuple
 
-from ..config import ScenarioConfig
+from ..config import ScenarioConfig, scenario_digest
 from ..errors import ConfigError
 
 #: Version of the folded sweep document (``fleet-sweep.json``).
@@ -82,8 +82,6 @@ class SweepPoint:
 
     def scenario_digest(self, population: int, seed: int) -> str:
         """The dataset identity this point's crawl will run under."""
-        from ..runtime.ledger import scenario_digest
-
         return scenario_digest(self.config(population, seed))
 
     # ------------------------------------------------------------------

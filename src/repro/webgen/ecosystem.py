@@ -19,12 +19,13 @@ recover it (a tested round-trip property).
 
 from __future__ import annotations
 
+import collections
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import ScenarioConfig
+from ..config import ScenarioConfig, scenario_digest
 from ..fingerprint.signatures import LibrarySignature, default_signatures
 from ..netsim import (
     FailureModel,
@@ -65,6 +66,30 @@ _GITHUB_HOSTS = (
     "hayageek.github.io",
     "assets-cdn.github.com",
 )
+
+
+#: scenario digest -> {domain rank: SiteState}; bounded LRU per process.
+#: A site state is a pure function of dataset identity and the domain,
+#: so every ecosystem of one dataset (a Study's, each tick's worker
+#: ecosystem) shares one set; networks, configs and clocks stay per
+#: ecosystem.
+_SITE_STATE_CACHE: "collections.OrderedDict[str, Dict[int, SiteState]]" = (
+    collections.OrderedDict()
+)
+_SITE_STATE_CACHE_MAX = 8
+
+
+def _site_states_for(config: ScenarioConfig) -> Dict[int, SiteState]:
+    """The shared (rank -> state) map of ``config``'s dataset."""
+    key = scenario_digest(config)
+    states = _SITE_STATE_CACHE.get(key)
+    if states is None:
+        states = _SITE_STATE_CACHE[key] = {}
+        while len(_SITE_STATE_CACHE) > _SITE_STATE_CACHE_MAX:
+            _SITE_STATE_CACHE.popitem(last=False)
+    else:
+        _SITE_STATE_CACHE.move_to_end(key)
+    return states
 
 
 class _LibraryUrlMatcher:
@@ -175,7 +200,7 @@ class WebEcosystem:
         self.flash_model = FlashModel(config.flash, self.calendar)
         self.cdn_content = CdnContentStore()
         self._matcher = _LibraryUrlMatcher()
-        self._sites: Dict[int, SiteState] = {}
+        self._sites = _site_states_for(config)
         from .libraries import library_profiles
         from ..semver import builtin_catalogs
 
@@ -219,7 +244,11 @@ class WebEcosystem:
     # Site state & ground truth
     # ------------------------------------------------------------------
     def site_state(self, domain: Domain) -> SiteState:
-        """The (lazily built, cached) behaviour state of one domain."""
+        """The behaviour state of one domain, built once per dataset.
+
+        Built on first use and kept in the per-process site-state
+        cache, which every ecosystem of the same dataset shares.
+        """
         state = self._sites.get(domain.rank)
         if state is None:
             state = SiteState(

@@ -123,6 +123,14 @@ class _Membership:
     crossorigin: Optional[str]
     version_timeline: List[Tuple[int, str]]
     version_visible: bool = True
+    #: The timeline's change weeks; the timeline is final once built
+    #: (migration moves only ``active_until``).
+    _weeks: Tuple[int, ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._weeks = tuple(week for week, _ in self.version_timeline)
 
     def active_at(self, ordinal: int) -> bool:
         if ordinal < self.active_from:
@@ -130,7 +138,7 @@ class _Membership:
         return self.active_until is None or ordinal < self.active_until
 
     def version_at(self, ordinal: int) -> str:
-        index = bisect.bisect_right([w for w, _ in self.version_timeline], ordinal)
+        index = bisect.bisect_right(self._weeks, ordinal)
         return self.version_timeline[max(0, index - 1)][1]
 
 
@@ -442,14 +450,14 @@ class SiteState:
             # developers rarely update everything at once.
             if rng.random() >= 0.7:
                 continue
-            date = self.calendar.week_at(ordinal).date
-            available = catalog.released_on_or_before(date)
-            if not available:
+            newest, runner_up = catalog.newest_two_as_of(
+                self.calendar.week_at(ordinal).date
+            )
+            if newest is None:
                 continue
-            ordered = sorted(available, key=lambda r: r.version)
-            pick = ordered[-1]
-            if len(ordered) > 1 and rng.random() >= 0.85:
-                pick = ordered[-2]
+            pick = newest
+            if runner_up is not None and rng.random() >= 0.85:
+                pick = runner_up
             if pick.version > current:
                 timeline.append((ordinal, pick.version.text))
                 current = pick.version

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -455,6 +456,37 @@ class TestHttpServer:
             assert rejected.getheader("Allow") == "GET"
         finally:
             conn.close()
+
+    def test_accepted_socket_disables_nagle(self, serve_app):
+        """The body write must not wait behind Nagle for the peer's ACK."""
+        server = make_server(serve_app)
+        nodelay = []
+
+        class Probe(server.RequestHandlerClass):
+            def _dispatch(self, method):
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+                super()._dispatch(method)
+
+        server.RequestHandlerClass = Probe
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.read() == serve_app.get("/healthz").body
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(nodelay) == 1 and nodelay[0] != 0
 
 
 class TestServeOptions:
