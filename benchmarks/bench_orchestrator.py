@@ -6,9 +6,10 @@ Three questions matter for the orchestrator to earn its keep:
 * fleet overhead — the queue's durable record writes (fsync + rename
   per transition) must be noise next to the jobs themselves;
 * cross-run cache value — the second crawl of a re-crawl chain reads
-  the first crawl's profile generation, so more than half its renders
-  must be cache hits (the fleet's raison d'être: tick N+1 re-observes
-  mostly-unchanged sites);
+  the first crawl's profile generation, so more than half its profile
+  builds (``profile_from_manifest`` calls; manifest mode renders no
+  page) must be cache hits (the fleet's raison d'être: tick N+1
+  re-observes mostly-unchanged sites);
 * resume cost — re-running a finished fleet (the recovery no-op) must
   be near-free: every job short-circuits on its verified ``DONE.json``.
 

@@ -12,7 +12,10 @@ entry point:
   matcher) so every analysis has the same signature;
 * :func:`to_canonical_dict` — a deterministic encoder from any typed
   result to JSON-serializable data (dataclasses, enums — including
-  enum *keys* — dates, numpy scalars, version ranges).
+  enum *keys* — dates, numpy scalars, version ranges).  It lives in
+  :mod:`repro.canonical`, so layers below the analyses (the crawler's
+  profile store) share it without importing the registry; it is
+  re-exported here.
 
 The original module-level functions stay untouched; registry entries
 are thin adapters over them, so existing callers keep working while
@@ -23,10 +26,9 @@ registered analyses instead of hand-wiring call shapes.
 from __future__ import annotations
 
 import dataclasses
-import datetime
-import enum
 from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
+from ..canonical import to_canonical_dict
 from ..errors import AnalysisError
 
 
@@ -115,55 +117,6 @@ def run_analyses(
         name: to_canonical_dict(get_analysis(name).run(store, context))
         for name in selected
     }
-
-
-# ----------------------------------------------------------------------
-# Canonical encoding
-# ----------------------------------------------------------------------
-def to_canonical_dict(value: object) -> object:
-    """Encode any analysis result as deterministic JSON-ready data.
-
-    Rules: dataclasses become field dicts; enums their values (also as
-    dict keys); dates ISO strings; numpy scalars their Python values;
-    sets are sorted; anything else with a ``describe()`` (version
-    ranges) or ``text`` (versions) uses that, else ``str()``.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, enum.Enum):
-        return to_canonical_dict(value.value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: to_canonical_dict(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-    if isinstance(value, (datetime.datetime, datetime.date)):
-        return value.isoformat()
-    if isinstance(value, dict):
-        return {
-            _key(k): to_canonical_dict(v)
-            for k, v in sorted(value.items(), key=lambda item: _key(item[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [to_canonical_dict(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(to_canonical_dict(item) for item in value)
-    if hasattr(value, "item") and callable(value.item):  # numpy scalar
-        return to_canonical_dict(value.item())
-    if hasattr(value, "describe") and callable(value.describe):
-        return value.describe()
-    if hasattr(value, "text") and isinstance(value.text, str):
-        return value.text
-    return str(value)
-
-
-def _key(key: object) -> str:
-    """Deterministic string form for a dict key."""
-    if isinstance(key, enum.Enum):
-        return str(key.value)
-    return str(key)
 
 
 # ----------------------------------------------------------------------

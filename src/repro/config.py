@@ -388,9 +388,10 @@ class IncrementalConfig:
 
     A second, cross-run layer — the content-addressed
     :class:`~repro.crawler.profilestore.ProfileStore` — lets a fleet of
-    chained runs share rendered profiles: each run writes its profiles
-    into its own generation directory and reads from the immutable
-    generations of its predecessors (manifest mode only; see the module
+    chained runs share built profiles: each run reads the immutable
+    generations of its predecessors and writes the profiles none of
+    them had into its own generation directory, one checksummed
+    segment per crawl shard (manifest mode only; see the module
     docstring for why that keeps canonical metrics deterministic).
 
     Attributes:
@@ -398,7 +399,8 @@ class IncrementalConfig:
         profile_store_read: Predecessor generation directories to
             consult on in-run cache misses, most recent first.
         profile_store_write: This run's own generation directory for
-            newly rendered profiles (``None`` disables writes).
+            the profiles no predecessor had (``None`` disables
+            writes).
     """
 
     profile_cache: bool = True

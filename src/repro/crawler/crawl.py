@@ -544,8 +544,9 @@ class Crawler:
         threshold = ecosystem.config.accessibility.empty_page_threshold
         cache = ProfileCache(enabled=self.incremental.profile_cache)
         # Cross-run generation store (manifest mode only): consulted on
-        # in-run cache misses, fed with every profile this block renders.
-        # Reads touch only immutable predecessor generations, so lookup
+        # in-run cache misses, fed with the profiles this block had to
+        # build, and written as one segment when the block ends.  Reads
+        # touch only immutable predecessor generations, so lookup
         # results — and the profile_store.* counters — are independent
         # of shard execution order, backend, and worker count.
         pstore = None
@@ -571,10 +572,10 @@ class Crawler:
                                 profile = profile_from_manifest(
                                     manifest, self.cdn_catalog
                                 )
-                            if pstore is not None:
-                                pstore.store(
-                                    domain.name, domain.rank, key, profile
-                                )
+                                if pstore is not None:
+                                    pstore.store(
+                                        domain.name, domain.rank, key, profile
+                                    )
                             cache.store(domain.rank, key, profile)
                     else:
                         profile = profile_from_manifest(manifest, self.cdn_catalog)
@@ -613,6 +614,7 @@ class Crawler:
                 self._observe_page(ins, profile)
         cache.record(ins)
         if pstore is not None:
+            pstore.flush()
             pstore.record(ins)
         return ins
 

@@ -2,14 +2,14 @@
 
 The PR-2 :class:`~repro.crawler.cache.ProfileCache` is per-shard,
 per-run: every new :class:`~repro.core.Study` starts cold even when it
-re-crawls the exact population the previous run just rendered.  For a
+re-crawls the exact population the previous run just built.  For a
 fleet of chained runs — the orchestrator's re-crawl beat — that throws
-away the dominant cost: most sites are frozen or slow-moving, so run
+away most of the work: most sites are frozen or slow-moving, so run
 N+1's profiles are overwhelmingly run N's profiles.
 
-This module persists rendered :class:`~repro.fingerprint.PageProfile`
-objects under content-address keys so they survive the process, with a
-layout designed to keep the runtime determinism contract intact:
+This module persists :class:`~repro.fingerprint.PageProfile` objects
+under content-address keys so they survive the process, with a layout
+designed to keep the runtime determinism contract intact:
 
 * **Generation snapshots.**  Each run writes to its *own* generation
   directory and reads only from *predecessor* generations, which are
@@ -21,10 +21,24 @@ layout designed to keep the runtime determinism contract intact:
   instrumentation, so substituting a store hit for a rebuild changes no
   canonical counter except the ``profile_store.*`` pair introduced
   here.  Full mode keeps its in-run cache untouched.
-* **Checksummed, atomically written entries.**  Each entry is one file
-  (JSON header line + sha256-checksummed pickle body) finalized by the
-  ledger's fsync + rename primitive; a torn or bit-flipped entry is
-  treated as a miss, never trusted.
+* **Only what no predecessor had.**  A run stores a profile only when
+  every predecessor missed it.  A run reads all of its predecessors,
+  and a finished generation is complete and immutable, so the union of
+  the generations already holds every profile a hit could return:
+  storing hits again would change no later lookup.
+* **One checksummed segment per crawl shard.**  A shard's new profiles
+  are written once, when the shard's block ends, as one segment file:
+  a JSON header line (``format``, entry ``count``, ``sha256`` of the
+  body), then the body — canonical JSON (sorted keys) mapping each
+  content address to :func:`~repro.canonical.to_canonical_dict` of its
+  profile.  The file is named after the sha256 of its bytes, so a
+  retried or resumed shard rewrites an identical file (or finds it
+  there), and it is finalized by the ledger's fsync + rename primitive.
+  Readers load and verify each predecessor's segments once, into one
+  index; a torn, bit-flipped or malformed segment contributes nothing,
+  and an entry that does not decode to a profile
+  (:func:`~repro.fingerprint.profile.profile_from_canonical`) is a
+  miss.  No entry is ever unpickled or otherwise executed.
 
 The content-address covers everything a manifest-mode profile is a pure
 function of: the domain's constant identity (name, rank) plus the
@@ -39,20 +53,24 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import pickle
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
+from ..canonical import to_canonical_dict
 from ..fingerprint import PageProfile
+from ..fingerprint.profile import profile_from_canonical
 from ..runtime.ledger import atomic_write_bytes
 from .cache import SiteStateKey
 
 #: Version of the generation-directory schema.  A generation whose
 #: marker names another format is ignored wholesale (every lookup
-#: misses) rather than half-read.
-PROFILE_STORE_FORMAT = 1
+#: misses) rather than half-read.  Format 1 kept one pickled file per
+#: profile; format 2 keeps one canonical-JSON segment per crawl shard.
+PROFILE_STORE_FORMAT = 2
 
 MARKER_NAME = "profile-store.json"
+
+SEGMENT_SUFFIX = ".segment"
 
 
 def _encode(value: object) -> str:
@@ -82,12 +100,51 @@ def profile_digest(domain_name: str, rank: int, key: SiteStateKey) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _read_segment(path: Path) -> Dict[str, object]:
+    """The entries of one segment file; empty unless every check passes.
+
+    Checks: a header line, a JSON object naming this format, a body
+    whose sha256 matches the header's, and a body that parses as a JSON
+    object of ``count`` entries, each a JSON object.  Entries are not
+    decoded here — only a lookup that hits one decodes it.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return {}
+    head, sep, body = raw.partition(b"\n")
+    if not sep:
+        return {}
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        return {}
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != PROFILE_STORE_FORMAT
+        or header.get("sha256") != hashlib.sha256(body).hexdigest()
+    ):
+        return {}
+    try:
+        entries = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        return {}
+    if (
+        not isinstance(entries, dict)
+        or header.get("count") != len(entries)
+        or not all(isinstance(entry, dict) for entry in entries.values())
+    ):
+        return {}
+    return entries
+
+
 class ProfileStore:
     """Durable cross-run profile cache over generation directories.
 
     Args:
         write_dir: This run's own generation directory (created and
-            marked on first write); ``None`` disables writes.
+            marked by the first :meth:`flush` with something to write);
+            ``None`` disables writes.
         read_dirs: Predecessor generation directories, consulted in
             order — list the most recent generation first.  Directories
             without a valid format marker are ignored.
@@ -97,7 +154,10 @@ class ProfileStore:
         misses: Lookups no predecessor generation could answer.
     """
 
-    __slots__ = ("write_dir", "read_dirs", "hits", "misses", "_marked")
+    __slots__ = (
+        "write_dir", "read_dirs", "hits", "misses",
+        "_index", "_pending", "_last_miss",
+    )
 
     def __init__(
         self,
@@ -112,7 +172,14 @@ class ProfileStore:
         )
         self.hits = 0
         self.misses = 0
-        self._marked = False
+        #: content address -> canonical entry, over every predecessor
+        #: segment; loaded by the first lookup.
+        self._index: Optional[Dict[str, object]] = None
+        #: content address -> profile, stored since the last flush.
+        self._pending: Dict[str, PageProfile] = {}
+        #: (domain name, rank, key, digest) of the latest miss, so that
+        #: storing the profile built for it hashes the key only once.
+        self._last_miss: Optional[Tuple[str, int, SiteStateKey, str]] = None
 
     @classmethod
     def from_incremental(cls, incremental) -> Optional["ProfileStore"]:
@@ -140,8 +207,23 @@ class ProfileStore:
             and marker.get("format") == PROFILE_STORE_FORMAT
         )
 
-    def _entry_name(self, digest: str) -> str:
-        return f"{digest}.profile"
+    def _load_index(self) -> Dict[str, object]:
+        """Every predecessor segment's entries; the freshest generation
+        wins a content address several generations hold."""
+        index: Dict[str, object] = {}
+        for directory in reversed(self.read_dirs):
+            try:
+                names = sorted(
+                    entry.name
+                    for entry in directory.iterdir()
+                    if entry.name.endswith(SEGMENT_SUFFIX)
+                    and not entry.name.startswith(".")
+                )
+            except OSError:
+                continue
+            for name in names:
+                index.update(_read_segment(directory / name))
+        return index
 
     # ------------------------------------------------------------------
     def lookup(
@@ -149,49 +231,28 @@ class ProfileStore:
     ) -> Optional[PageProfile]:
         """The stored profile for this site state, from any predecessor.
 
-        A readable, checksum-valid entry whose recorded digest matches
-        is a hit; anything else — absent file, torn write, bit flip,
-        foreign format — is a miss.
+        An entry of a verified segment that decodes to a profile is a
+        hit; anything else — no entry, a damaged segment, an entry of
+        the wrong shape — is a miss.
         """
         if not self.read_dirs:
             return None
+        if self._index is None:
+            self._index = self._load_index()
         digest = profile_digest(domain_name, rank, key)
-        name = self._entry_name(digest)
-        for directory in self.read_dirs:
-            profile = self._read_entry(directory / name, digest)
-            if profile is not None:
+        entry = self._index.get(digest)
+        if entry is not None:
+            try:
+                profile = profile_from_canonical(entry)
+            except ValueError:
+                pass
+            else:
                 self.hits += 1
                 return profile
         self.misses += 1
+        self._last_miss = (domain_name, rank, key, digest)
         return None
 
-    @staticmethod
-    def _read_entry(path: Path, digest: str) -> Optional[PageProfile]:
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        head, sep, body = raw.partition(b"\n")
-        if not sep:
-            return None
-        try:
-            header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != PROFILE_STORE_FORMAT
-            or header.get("digest") != digest
-            or header.get("sha256") != hashlib.sha256(body).hexdigest()
-        ):
-            return None
-        try:
-            profile = pickle.loads(body)
-        except Exception:  # noqa: BLE001 - any unpickle failure is a miss
-            return None
-        return profile if isinstance(profile, PageProfile) else None
-
-    # ------------------------------------------------------------------
     def store(
         self,
         domain_name: str,
@@ -199,40 +260,69 @@ class ProfileStore:
         key: SiteStateKey,
         profile: PageProfile,
     ) -> None:
-        """Persist one rendered profile into this run's generation.
+        """Queue one built profile for this run's generation.
 
-        Idempotent and concurrency-safe: the entry is content-addressed,
-        so shards racing on the same key write equivalent entries, and
-        the atomic rename means readers only ever see complete files.
-        An already-present entry is left alone.
+        Call it only for profiles no predecessor had (a :meth:`lookup`
+        miss); :meth:`flush` writes the queued profiles.
         """
         if self.write_dir is None:
             return
-        if not self._marked:
-            self.write_dir.mkdir(parents=True, exist_ok=True)
-            marker = self.write_dir / MARKER_NAME
-            if not marker.exists():
-                atomic_write_bytes(
-                    marker,
-                    json.dumps(
-                        {"format": PROFILE_STORE_FORMAT}, sort_keys=True
-                    ).encode("utf-8"),
-                )
-            self._marked = True
-        digest = profile_digest(domain_name, rank, key)
-        path = self.write_dir / self._entry_name(digest)
-        if path.exists():
+        last = self._last_miss
+        if (
+            last is not None
+            and last[2] is key
+            and last[1] == rank
+            and last[0] == domain_name
+        ):
+            digest = last[3]
+        else:
+            digest = profile_digest(domain_name, rank, key)
+        self._last_miss = None
+        self._pending[digest] = profile
+
+    def flush(self) -> None:
+        """Write the profiles stored since the last flush as one segment.
+
+        Writes nothing when nothing was stored.  Otherwise the
+        generation marker is written first (once), then the segment, by
+        one atomic write each.  Segments are content-named, so shards
+        racing on one generation, or a shard re-executed after a crash,
+        write distinct or identical files — never a torn one.
+        """
+        if self.write_dir is None or not self._pending:
             return
-        body = pickle.dumps(profile)
+        self.write_dir.mkdir(parents=True, exist_ok=True)
+        marker = self.write_dir / MARKER_NAME
+        if not marker.exists():
+            atomic_write_bytes(
+                marker,
+                json.dumps(
+                    {"format": PROFILE_STORE_FORMAT}, sort_keys=True
+                ).encode("utf-8"),
+            )
+        body = json.dumps(
+            {
+                digest: to_canonical_dict(profile)
+                for digest, profile in self._pending.items()
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
         header = json.dumps(
             {
+                "count": len(self._pending),
                 "format": PROFILE_STORE_FORMAT,
-                "digest": digest,
                 "sha256": hashlib.sha256(body).hexdigest(),
             },
             sort_keys=True,
+        ).encode("utf-8")
+        data = header + b"\n" + body
+        path = self.write_dir / (
+            hashlib.sha256(data).hexdigest() + SEGMENT_SUFFIX
         )
-        atomic_write_bytes(path, header.encode("utf-8") + b"\n" + body)
+        if not path.exists():
+            atomic_write_bytes(path, data)
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     def record(self, instruments) -> None:
@@ -244,8 +334,3 @@ class ProfileStore:
         """
         instruments.inc("profile_store.hits", self.hits)
         instruments.inc("profile_store.misses", self.misses)
-
-    def __len__(self) -> int:
-        if self.write_dir is None:
-            return 0
-        return sum(1 for _ in self.write_dir.glob("*.profile"))

@@ -1,10 +1,15 @@
-"""Structured fingerprinting output for one page."""
+"""Structured fingerprinting output for one page.
+
+:func:`profile_from_canonical` decodes a profile from its canonical
+encoding (:func:`repro.canonical.to_canonical_dict`), which is how the
+crawler's cross-run profile store keeps profiles on disk.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 
 class ScriptAccess(enum.Enum):
@@ -162,3 +167,132 @@ class PageProfile:
             ],
             "wordpress": self.wordpress_version,
         }
+
+
+# ----------------------------------------------------------------------
+# Decoding the canonical encoding
+# ----------------------------------------------------------------------
+def _str(value: object) -> str:
+    if type(value) is not str:
+        raise ValueError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _optional_str(value: object) -> Optional[str]:
+    return None if value is None else _str(value)
+
+
+def _bool(value: object) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"expected a bool, got {type(value).__name__}")
+    return value
+
+
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an int, got {type(value).__name__}")
+    return value
+
+
+def _list(value: object) -> list:
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _script_access(value: object) -> Optional[ScriptAccess]:
+    # ScriptAccess(value) raises ValueError for an unknown value.
+    return None if value is None else ScriptAccess(_str(value))
+
+
+def _untrusted_script(value: object) -> Tuple[str, str, bool]:
+    items = _list(value)
+    if len(items) != 3:
+        raise ValueError("expected a (host, url, integrity) triple")
+    return (_str(items[0]), _str(items[1]), _bool(items[2]))
+
+
+_Decoder = Callable[[object], object]
+_Field = Tuple[str, _Decoder]
+
+
+def _schema(cls: type, decoders: Dict[str, _Decoder]) -> Tuple[_Field, ...]:
+    """``cls``'s fields in declaration order, each with its decoder."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    if sorted(names) != sorted(decoders):
+        raise TypeError(f"{cls.__name__} decoder fields differ from the dataclass")
+    return tuple((name, decoders[name]) for name in names)
+
+
+def _decode(cls: type, schema: Sequence[_Field], data: object):
+    if type(data) is not dict or len(data) != len(schema):
+        raise ValueError(f"expected a {cls.__name__} object with {len(schema)} fields")
+    try:
+        return cls(*[decode(data[name]) for name, decode in schema])
+    except KeyError as exc:
+        raise ValueError(f"{cls.__name__} lacks field {exc}") from None
+
+
+_DETECTION_SCHEMA = _schema(
+    LibraryDetection,
+    {
+        "library": _str,
+        "version": _optional_str,
+        "source_url": _str,
+        "host": _optional_str,
+        "external": _bool,
+        "cdn_host": _optional_str,
+        "untrusted_host": _bool,
+        "has_integrity": _bool,
+        "crossorigin": _optional_str,
+        "evidence": _str,
+    },
+)
+
+_FLASH_SCHEMA = _schema(
+    FlashEmbed,
+    {
+        "swf_url": _str,
+        "tag": _str,
+        "script_access": _script_access,
+        "script_access_specified": _bool,
+        "external": _bool,
+        "visible": _bool,
+    },
+)
+
+_PROFILE_SCHEMA = _schema(
+    PageProfile,
+    {
+        "page_host": _str,
+        "resource_types": lambda v: frozenset(_str(t) for t in _list(v)),
+        "libraries": lambda v: tuple(
+            _decode(LibraryDetection, _DETECTION_SCHEMA, d) for d in _list(v)
+        ),
+        "flash_embeds": lambda v: tuple(
+            _decode(FlashEmbed, _FLASH_SCHEMA, e) for e in _list(v)
+        ),
+        "wordpress_version": _optional_str,
+        "script_count": _int,
+        "external_script_count": _int,
+        "untrusted_scripts": lambda v: tuple(_untrusted_script(t) for t in _list(v)),
+    },
+)
+
+
+def profile_from_canonical(data: object) -> PageProfile:
+    """The :class:`PageProfile` whose canonical encoding is ``data``.
+
+    The inverse of :func:`repro.canonical.to_canonical_dict` on
+    profiles, read back through JSON:
+    ``profile_from_canonical(to_canonical_dict(p)) == p``.
+
+    ``data`` is untrusted (the profile store reads it from a directory
+    shared across runs), so the decoder checks every field: exactly the
+    dataclass's keys, each of its type (``bool`` is not an ``int``),
+    and a known :class:`ScriptAccess` value.
+
+    Raises:
+        ValueError: ``data`` is not the encoding of a profile.
+    """
+    return _decode(PageProfile, _PROFILE_SCHEMA, data)

@@ -180,6 +180,16 @@ class VirtualNetwork:
         """
         self._request_ordinals.clear()
 
+    def is_pristine(self) -> bool:
+        """Whether every request would draw what a fresh network draws.
+
+        True when no request ordinal has been consumed (since
+        construction or the last :meth:`reset_ordinals`) and no
+        transport surge is installed, so the failure schedule is the
+        one a new network of the same seed starts from.
+        """
+        return not self._request_ordinals and not self.failures.surge
+
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------

@@ -8,10 +8,11 @@ on byte-identical outputs:
 * ``crawl`` — a checkpointed :class:`~repro.core.Study` run over the
   tick's week window.  The run ledger lives in the queue's
   ``checkpoints/<job>/`` directory with ``resume=True``, so a killed
-  attempt replays its journal instead of restarting; rendered profiles
+  attempt replays its journal instead of restarting; built profiles
   flow through the cross-run
-  :class:`~repro.crawler.profilestore.ProfileStore` (read: predecessor
-  ticks' generations, write: this tick's).  Artifacts: ``store.bin``
+  :class:`~repro.crawler.profilestore.ProfileStore` (read: every
+  predecessor tick's generation, write: this tick's, with the profiles
+  none of them had).  Artifacts: ``store.bin``
   (canonical binary store) + ``metrics.json`` (canonical metrics
   document).
 * ``analyses`` — loads the tick's store artifact and derives the

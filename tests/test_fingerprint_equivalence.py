@@ -9,6 +9,9 @@ Two checks pin the fingerprinting of a page:
 * **Reference.** :func:`scan_page` equals the old three scans
   (``tests/reference_scan.py``) run on the once-stripped text, on every
   golden page and on seeded tag soup.
+* **Decoding.** :func:`profile_from_canonical` inverts the canonical
+  encoding, through JSON, on every golden profile and on hand-built
+  profiles for the fields the golden pages leave at one value.
 """
 
 from __future__ import annotations
@@ -23,8 +26,15 @@ import proptest
 import reference_scan
 from repro import ScenarioConfig
 from repro.analysis.api import to_canonical_dict
-from repro.fingerprint import FingerprintEngine
+from repro.fingerprint import (
+    FingerprintEngine,
+    FlashEmbed,
+    LibraryDetection,
+    PageProfile,
+    ScriptAccess,
+)
 from repro.fingerprint.html_scan import scan_page, scan_tags
+from repro.fingerprint.profile import profile_from_canonical
 from repro.scenarios import apply_pack
 from repro.webgen import WebEcosystem
 
@@ -125,3 +135,124 @@ class TestReferenceScan:
             )), dict(seen)
 
         proptest.forall(one_pass_matches_reference)
+
+
+def _through_json(profile: PageProfile) -> PageProfile:
+    text = json.dumps(to_canonical_dict(profile), sort_keys=True)
+    return profile_from_canonical(json.loads(text))
+
+
+def _hand_built():
+    detection = LibraryDetection(
+        library="jquery",
+        version=None,
+        source_url="/static/jquery.js",
+        host=None,
+        external=False,
+    )
+    yield PageProfile(page_host="bare.example")
+    yield PageProfile(
+        page_host="every.example",
+        resource_types=frozenset({"javascript", "flash", "css"}),
+        libraries=(
+            detection,
+            LibraryDetection(
+                library="bootstrap",
+                version="4.3.1",
+                source_url="https://cdn.example/bootstrap.min.js",
+                host="cdn.example",
+                external=True,
+                cdn_host="cdn.example",
+                untrusted_host=False,
+                has_integrity=True,
+                crossorigin="anonymous",
+                evidence="url-pattern",
+            ),
+            LibraryDetection(
+                library="mylib",
+                version="0.1",
+                source_url="https://user.github.io/mylib-0.1.js",
+                host="user.github.io",
+                external=True,
+                untrusted_host=True,
+                crossorigin="",
+                evidence="url-generic",
+            ),
+        ),
+        flash_embeds=tuple(
+            FlashEmbed(
+                swf_url=f"https://swf.example/{index}.swf",
+                tag=tag,
+                script_access=access,
+                script_access_specified=access is not None,
+                external=bool(index % 2),
+                visible=index != 1,
+            )
+            for index, (tag, access) in enumerate(
+                zip(
+                    ("object", "embed", "object", "embed"),
+                    (*ScriptAccess, None),
+                )
+            )
+        ),
+        wordpress_version="5.2.4",
+        script_count=7,
+        external_script_count=3,
+        untrusted_scripts=(
+            ("user.github.io", "https://user.github.io/mylib-0.1.js", False),
+            ("gitlab.example.io", "https://gitlab.example.io/x.js", True),
+        ),
+    )
+
+
+class TestCanonicalDecode:
+    def test_golden_profiles_round_trip(self, golden_profiles):
+        profiles = [p for group in golden_profiles.values() for p in group]
+        assert len(profiles) == 6273
+        for profile in profiles:
+            assert _through_json(profile) == profile
+
+    def test_hand_built_profiles_round_trip(self):
+        profiles = list(_hand_built())
+        assert {e.script_access for e in profiles[-1].flash_embeds} == {
+            *ScriptAccess, None
+        }
+        for profile in profiles:
+            decoded = _through_json(profile)
+            assert decoded == profile
+            assert type(decoded.resource_types) is frozenset
+            assert all(type(t) is tuple for t in decoded.untrusted_scripts)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda d: None,
+            lambda d: [d],
+            lambda d: {**d, "script_count": 1.0},
+            lambda d: {**d, "script_count": False},
+            lambda d: {**d, "page_host": None},
+            lambda d: {**d, "wordpress_version": 5},
+            lambda d: {**d, "resource_types": "css"},
+            lambda d: {**d, "resource_types": [1]},
+            lambda d: {**d, "libraries": {}},
+            lambda d: {**d, "libraries": [{**d["libraries"][0], "external": 0}]},
+            lambda d: {**d, "libraries": [{**d["libraries"][0], "host": 1}]},
+            lambda d: {**d, "flash_embeds": [
+                {**d["flash_embeds"][0], "script_access": "ALWAYS"}
+            ]},
+            lambda d: {**d, "flash_embeds": [
+                {**d["flash_embeds"][0], "script_access": 1}
+            ]},
+            lambda d: {**d, "untrusted_scripts": [["h", "u"]]},
+            lambda d: {**d, "untrusted_scripts": [["h", "u", "yes"]]},
+            lambda d: {**d, "untrusted_scripts": [("h", "u", True)]},
+            lambda d: {k: v for k, v in d.items() if k != "libraries"},
+            lambda d: {**d, "unknown": 0},
+        ],
+    )
+    def test_wrong_shapes_raise_value_error(self, damage):
+        encoded = json.loads(
+            json.dumps(to_canonical_dict(list(_hand_built())[-1]))
+        )
+        with pytest.raises(ValueError):
+            profile_from_canonical(damage(encoded))

@@ -50,6 +50,25 @@ def _plan(**overrides) -> FleetPlan:
     return FleetPlan.build(**defaults)
 
 
+#: ``(profile_store.hits, profile_store.misses)`` of every crawl job.
+#: Tick 0 has no predecessor generation, so it records no lookups;
+#: tick 1 finds every profile in tick 0's generation.  Every fleet in
+#: this module — clean, chaos, killed-and-resumed, sharded — records
+#: exactly these counts.
+_PROFILE_STORE_COUNTERS = {"crawl-000": (0, 0), "crawl-001": (21, 0)}
+
+
+def _profile_store_counters(root: Path) -> dict:
+    counters = {}
+    for path in sorted((root / "artifacts").glob("crawl-*/metrics.json")):
+        values = json.loads(path.read_text())["execution"]["counters"]
+        counters[path.parent.name] = (
+            values["profile_store.hits"],
+            values["profile_store.misses"],
+        )
+    return counters
+
+
 def _artifact_digests(root: Path, include_metrics: bool = True) -> dict:
     """sha256 per artifact file under the queue, keyed by relative path.
 
@@ -259,6 +278,7 @@ class TestFleetExecution:
         # Tick 1 re-crawls tick 0's window plus new weeks: more than
         # half its profile renders must come from tick 0's generation.
         assert hits / (hits + misses) > 0.5
+        assert _profile_store_counters(root) == _PROFILE_STORE_COUNTERS
 
     def test_rerun_over_finished_queue_is_idempotent(self, clean_fleet):
         root, _, _ = clean_fleet
@@ -287,6 +307,7 @@ class TestFleetExecution:
         assert counters.get("orchestrator.lease_expiries", 0) > 0
         # ...yet every artifact byte matches the fault-free fleet.
         assert _artifact_digests(chaos_root) == _artifact_digests(clean_root)
+        assert _profile_store_counters(chaos_root) == _PROFILE_STORE_COUNTERS
 
     def test_orchestrator_counters_are_recorded(self, chaos_fleet):
         _, _, orchestrator = chaos_fleet
@@ -475,6 +496,7 @@ class TestKillMidFleet:
         assert (root / "fleet-metrics.json").read_bytes() == (
             chaos_root / "fleet-metrics.json"
         ).read_bytes()
+        assert _profile_store_counters(root) == _PROFILE_STORE_COUNTERS
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_convergence_holds_across_backends(
@@ -504,3 +526,4 @@ class TestKillMidFleet:
         )
         assert ours["states"] == serial["states"]
         assert ours["retries"] == serial["retries"]
+        assert _profile_store_counters(root) == _PROFILE_STORE_COUNTERS
