@@ -93,7 +93,14 @@ class Study:
     # Pipeline
     # ------------------------------------------------------------------
     def run(self, weeks=None) -> CrawlReport:
-        """Build + crawl; idempotent per instance.
+        """Crawl ``weeks`` (default: the whole calendar) into this study's store.
+
+        Not idempotent: every call ingests its weeks into the same
+        store, so a second run over weeks already crawled counts them
+        again, and if a site's versions changed in between, saving the
+        store (``store_to_bytes``) raises :class:`~repro.errors.StoreError`
+        because that site's trajectory runs backwards.  Crawl each set
+        of weeks once per instance; use a new ``Study`` to crawl again.
 
         With ``options.observability.metrics_out`` set, the report's
         canonical metrics document is written there after the crawl —

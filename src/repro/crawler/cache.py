@@ -12,8 +12,9 @@ The key is the manifest's content fields themselves (all immutable and
 hashable), not a lossy hash: equal keys therefore *prove* the rendered
 page and its fingerprint would be identical, because page rendering and
 manifest-mode profiling are pure functions of those fields plus the
-domain's constant name and rank.  ``week_ordinal`` is deliberately
-excluded — it never reaches the page body.
+domain's constant name and rank.  A manifest carries no week: every
+week of one content epoch shares one manifest object, so within an
+epoch the key's fields are the very same objects and compare at once.
 
 Scope: one cache per :meth:`~repro.crawler.Crawler.crawl_block` call,
 i.e. per shard.  Shards already crawl each domain's weeks contiguously
@@ -39,7 +40,7 @@ def site_state_key(manifest: SiteManifest) -> SiteStateKey:
     Everything :func:`~repro.webgen.html.render_page` and
     :func:`~repro.crawler.crawl.profile_from_manifest` read from the
     manifest, except the constant per-domain identity (name, rank) that
-    the cache already keys on and the week ordinal that neither uses.
+    the cache already keys on.
     """
     return (
         manifest.wordpress_version,

@@ -384,11 +384,21 @@ def _decode_delta_ranks(reader: _Reader) -> List[int]:
     return ranks
 
 
-def _encode_changes(writer: _Writer, arr: array, ver_canon: List[int]) -> None:
+def _encode_changes(
+    writer: _Writer, arr: array, ver_canon: List[int], rank: int, subject: str
+) -> None:
     writer.u32(len(arr) // 2)
     previous = 0
     for i in range(0, len(arr), 2):
         week = arr[i]
+        if week < previous:
+            # Weeks ingested twice or out of order (e.g. a second
+            # Study.run over weeks already crawled); the week deltas
+            # cannot encode it.
+            raise StoreError(
+                f"site rank {rank}: the {subject} trajectory runs "
+                f"backwards (week {week} recorded after week {previous})"
+            )
         writer.u32(week - previous)
         writer.u32(ver_canon[arr[i + 1]])
         previous = week
@@ -515,6 +525,7 @@ def _encode_sites_section(store: ObservationStore, maps) -> bytes:
     _encode_delta_ranks(writer, sorted(store.observed_domains))
 
     lib_canon = maps["library"]
+    lib_name = store.symbols.library.decode
     ver_canon = maps["version"]
     sites = store.trajectories.packed()
     writer.u32(len(sites))
@@ -523,18 +534,18 @@ def _encode_sites_section(store: ObservationStore, maps) -> bytes:
         writer.u64(rank)
         writer.u32(len(site))
         entries = sorted(
-            ((lib_canon[lib_id], arr) for lib_id, arr in site.items()),
+            ((lib_canon[lib_id], lib_id, arr) for lib_id, arr in site.items()),
             key=lambda entry: entry[0],
         )
-        for canonical_lib, arr in entries:
+        for canonical_lib, lib_id, arr in entries:
             writer.u32(canonical_lib)
-            _encode_changes(writer, arr, ver_canon)
+            _encode_changes(writer, arr, ver_canon, rank, lib_name(lib_id))
 
     wp_sites = store.wp_trajectories.packed()
     writer.u32(len(wp_sites))
     for rank in sorted(wp_sites):
         writer.u64(rank)
-        _encode_changes(writer, wp_sites[rank], ver_canon)
+        _encode_changes(writer, wp_sites[rank], ver_canon, rank, "WordPress")
 
     spans = sorted(store.flash_spans.items())
     writer.u32(len(spans))
@@ -600,6 +611,11 @@ def store_to_bytes(store: ObservationStore) -> bytes:
     to sorted-symbol order, weeks follow the calendar, and every
     id-keyed list is sorted, so nothing about runtime intern, fold, or
     backend order leaks into the encoding.
+
+    Raises:
+        StoreError: A site's library or WordPress trajectory records a
+            change at an earlier week than the change before it — the
+            store ingested some weeks twice or out of order.
     """
     maps = _canonical_maps(store)
     out = bytearray()

@@ -20,7 +20,8 @@ symbols, never copies them).
 
 Vulnerability joins happen at ingest through a memoized
 :class:`~repro.vulndb.VersionMatcher`, under both the stated-CVE and the
-True-Vulnerable-Versions modes.
+True-Vulnerable-Versions modes: one :meth:`~repro.vulndb.VersionMatcher.lookup`
+per detection answers both.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from .columns import (
     SiteSets,
 )
 from .symbols import SymbolTable
+
+_CVE = MatchMode.CVE
+_TVV = MatchMode.TVV
 
 #: library -> ((version, site-weeks), ...); see ObservationStore.version_totals
 VersionTotals = Dict[str, Tuple[Tuple[str, int], ...]]
@@ -233,6 +237,7 @@ class ObservationStore:
         tok_intern = symbols.token.intern
         libver = symbols.libver
         libhost = symbols.libhost
+        lookup = self.matcher.lookup
         self.total_observations += 1
         self._versions_cache = None
         self.observed_domains.add(rank)
@@ -287,16 +292,18 @@ class ObservationStore:
                 else:
                     has_external_no_integrity = True
 
+            # Both modes' hits in one memoized probe; an unreadable
+            # version (None) matches only unbounded ("all versions")
+            # advisories.
             version = detection.version
+            cve_count, tvv_count, cve_hit_ids, tvv_hit_ids = lookup(
+                library, version
+            )
+            cve_vulns += cve_count
+            tvv_vulns += tvv_count
+            cve_ids.update(cve_hit_ids)
+            tvv_ids.update(tvv_hit_ids)
             if version is None:
-                # Version unreadable: only unbounded ("all versions")
-                # advisories still apply.
-                cve_hits = self.matcher.match_unversioned(library, MatchMode.CVE)
-                tvv_hits = self.matcher.match_unversioned(library, MatchMode.TVV)
-                cve_vulns += len(cve_hits)
-                tvv_vulns += len(tvv_hits)
-                cve_ids.update(h.identifier for h in cve_hits)
-                tvv_ids.update(h.identifier for h in tvv_hits)
                 continue
             ver_id = ver_intern(version)
             agg.version_counts.inc_id(libver.intern_ids(lib_id, ver_id))
@@ -305,31 +312,29 @@ class ObservationStore:
 
             self.trajectories.observe(rank, lib_id, ordinal, ver_id)
 
-            cve_hits = self.matcher.match(library, version, MatchMode.CVE)
-            tvv_hits = self.matcher.match(library, version, MatchMode.TVV)
-            cve_vulns += len(cve_hits)
-            tvv_vulns += len(tvv_hits)
-            cve_ids.update(h.identifier for h in cve_hits)
-            tvv_ids.update(h.identifier for h in tvv_hits)
-
         if has_external:
             agg.sites_with_external += 1
             if has_external_no_integrity:
                 agg.sites_external_no_integrity += 1
 
+        # MatchMode members hash through Python-level Enum.__hash__, so
+        # each mode-keyed structure is probed at most once per page.
         adv_intern = symbols.advisory.intern
-        cve_advisories = agg.advisory_sites[MatchMode.CVE]
-        for identifier in cve_ids:
-            cve_advisories.inc_id(adv_intern(identifier))
-        tvv_advisories = agg.advisory_sites[MatchMode.TVV]
-        for identifier in tvv_ids:
-            tvv_advisories.inc_id(adv_intern(identifier))
+        if cve_ids:
+            cve_advisories = agg.advisory_sites[_CVE]
+            for identifier in cve_ids:
+                cve_advisories.inc_id(adv_intern(identifier))
+        if tvv_ids:
+            tvv_advisories = agg.advisory_sites[_TVV]
+            for identifier in tvv_ids:
+                tvv_advisories.inc_id(adv_intern(identifier))
         if cve_vulns:
-            agg.vulnerable_sites[MatchMode.CVE] += 1
+            agg.vulnerable_sites[_CVE] += 1
         if tvv_vulns:
-            agg.vulnerable_sites[MatchMode.TVV] += 1
-        agg.vuln_count_hist[MatchMode.CVE].inc(cve_vulns)
-        agg.vuln_count_hist[MatchMode.TVV].inc(tvv_vulns)
+            agg.vulnerable_sites[_TVV] += 1
+        hist = agg.vuln_count_hist
+        hist[_CVE].inc(cve_vulns)
+        hist[_TVV].inc(tvv_vulns)
 
         if profile.uses_flash:
             agg.flash_sites += 1

@@ -36,6 +36,7 @@ export byte-stable.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import json
@@ -128,14 +129,8 @@ class Histogram:
 
     def observe(self, value: int) -> None:
         value = int(value)
-        lo, hi = 0, len(self.edges)
-        while lo < hi:  # first bucket whose edge holds the value
-            mid = (lo + hi) // 2
-            if value <= self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        # The first bucket whose edge holds the value.
+        self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.count += 1
         self.total += value
         if self.vmin is None or value < self.vmin:

@@ -10,6 +10,8 @@ turns each detected library version into a list of
 
 Results are memoized per (library, version, mode, disclosure-cutoff
 month) because the same pair recurs across many domains and weeks.
+Ingest asks for both modes at once through :meth:`VersionMatcher.lookup`,
+memoized per (library, version).
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ class VulnerabilityHit:
         return self.advisory.identifier
 
 
+#: ``(CVE hit count, TVV hit count, CVE advisory ids, TVV advisory ids)``
+#: for one (library, version); the ids in hit order.
+ModeSummary = Tuple[int, int, Tuple[str, ...], Tuple[str, ...]]
+
+
 class VersionMatcher:
     """Memoized vulnerability lookup for observed library versions."""
 
@@ -55,6 +62,7 @@ class VersionMatcher:
             Tuple[str, str, MatchMode, Optional[datetime.date]],
             Tuple[VulnerabilityHit, ...],
         ] = {}
+        self._lookups: Dict[Tuple[str, Optional[str]], ModeSummary] = {}
 
     def match(
         self,
@@ -134,6 +142,31 @@ class VersionMatcher:
         result = tuple(hits)
         self._cache[key] = result
         return result
+
+    def lookup(self, library: str, version: Optional[str]) -> ModeSummary:
+        """Both modes' hits for one detection, without a disclosure cutoff.
+
+        ``version=None`` is an unreadable version and answers as
+        :meth:`match_unversioned`; any other version as :meth:`match`.
+        Memoized per ``(library, version)``, so a detection costs one
+        dictionary probe once its pair has been seen.
+        """
+        key = (library, version)
+        summary = self._lookups.get(key)
+        if summary is None:
+            if version is None:
+                cve = self.match_unversioned(library, MatchMode.CVE)
+                tvv = self.match_unversioned(library, MatchMode.TVV)
+            else:
+                cve = self.match(library, version, MatchMode.CVE)
+                tvv = self.match(library, version, MatchMode.TVV)
+            summary = self._lookups[key] = (
+                len(cve),
+                len(tvv),
+                tuple(hit.identifier for hit in cve),
+                tuple(hit.identifier for hit in tvv),
+            )
+        return summary
 
     def count(
         self,

@@ -40,7 +40,7 @@ from .cdncontent import CdnContentStore, whitespace_variant
 from .domains import Domain, DomainPopulation, Reachability
 from .flashgen import FlashModel
 from .html import render_antibot_page, render_page
-from .libraries import GENERIC_CDN, GENERIC_THIRD_PARTY
+from .libraries import GENERIC_CDN, GENERIC_THIRD_PARTY, LibraryProfile
 from .platform import WordPressModel
 from .site import SiteManifest, SiteState
 from ..fingerprint.cdn import DEFAULT_CDN_HOSTS
@@ -68,28 +68,40 @@ _GITHUB_HOSTS = (
 )
 
 
-#: scenario digest -> {domain rank: SiteState}; bounded LRU per process.
-#: A site state is a pure function of dataset identity and the domain,
-#: so every ecosystem of one dataset (a Study's, each tick's worker
-#: ecosystem) shares one set; networks, configs and clocks stay per
-#: ecosystem.
-_SITE_STATE_CACHE: "collections.OrderedDict[str, Dict[int, SiteState]]" = (
-    collections.OrderedDict()
-)
-_SITE_STATE_CACHE_MAX = 8
+#: One dataset's generator state: its domain population and its
+#: {domain rank: SiteState} map, filled as sites are first touched.
+_Dataset = Tuple[DomainPopulation, Dict[int, SiteState]]
+
+#: (scenario digest, library calibration) -> dataset; bounded LRU per
+#: process.  The population and every site state are pure functions of
+#: dataset identity, the calibration table the sites are built from,
+#: and the domain, so every ecosystem of one dataset (a Study's, each
+#: tick's worker ecosystem) shares them; networks, configs and clocks
+#: stay per ecosystem.
+_DATASET_CACHE: "collections.OrderedDict[tuple, _Dataset]" = collections.OrderedDict()
+_DATASET_CACHE_MAX = 8
 
 
-def _site_states_for(config: ScenarioConfig) -> Dict[int, SiteState]:
-    """The shared (rank -> state) map of ``config``'s dataset."""
-    key = scenario_digest(config)
-    states = _SITE_STATE_CACHE.get(key)
-    if states is None:
-        states = _SITE_STATE_CACHE[key] = {}
-        while len(_SITE_STATE_CACHE) > _SITE_STATE_CACHE_MAX:
-            _SITE_STATE_CACHE.popitem(last=False)
+def _dataset_for(
+    config: ScenarioConfig, profiles: Dict[str, LibraryProfile]
+) -> _Dataset:
+    """The shared population and site states of ``config``'s dataset."""
+    key = (scenario_digest(config), tuple(sorted(profiles.items())))
+    dataset = _DATASET_CACHE.get(key)
+    if dataset is None:
+        rng = np.random.default_rng([config.seed, 0xEC0])
+        population = DomainPopulation(
+            config.population,
+            config.accessibility,
+            rng,
+            total_weeks=len(config.calendar),
+        )
+        dataset = _DATASET_CACHE[key] = (population, {})
+        while len(_DATASET_CACHE) > _DATASET_CACHE_MAX:
+            _DATASET_CACHE.popitem(last=False)
     else:
-        _SITE_STATE_CACHE.move_to_end(key)
-    return states
+        _DATASET_CACHE.move_to_end(key)
+    return dataset
 
 
 class _LibraryUrlMatcher:
@@ -190,22 +202,21 @@ class WebEcosystem:
     """The full synthetic ecosystem for one scenario."""
 
     def __init__(self, config: ScenarioConfig) -> None:
+        # Looked up at call time, so a patched calibration table (the
+        # ablation benchmarks swap one in) reaches the sites and keys
+        # its own dataset.
+        from .libraries import library_profiles
+        from ..semver import builtin_catalogs
+
         self.config = config
         self.calendar = config.calendar
-        rng = np.random.default_rng([config.seed, 0xEC0])
-        self.population = DomainPopulation(
-            config.population, config.accessibility, rng, total_weeks=len(self.calendar)
-        )
+        self._profiles = library_profiles()
+        self._catalogs = builtin_catalogs()
+        self.population, self._sites = _dataset_for(config, self._profiles)
         self.wordpress_model = WordPressModel(config.platform, self.calendar)
         self.flash_model = FlashModel(config.flash, self.calendar)
         self.cdn_content = CdnContentStore()
         self._matcher = _LibraryUrlMatcher()
-        self._sites = _site_states_for(config)
-        from .libraries import library_profiles
-        from ..semver import builtin_catalogs
-
-        self._profiles = library_profiles()
-        self._catalogs = builtin_catalogs()
         self.network = VirtualNetwork(failures=FailureModel(seed=config.seed))
         self._attach_hosts()
         self._current_week = 0
@@ -246,8 +257,8 @@ class WebEcosystem:
     def site_state(self, domain: Domain) -> SiteState:
         """The behaviour state of one domain, built once per dataset.
 
-        Built on first use and kept in the per-process site-state
-        cache, which every ecosystem of the same dataset shares.
+        Built on first use and kept in the per-process dataset cache,
+        which every ecosystem of the same dataset shares.
         """
         state = self._sites.get(domain.rank)
         if state is None:

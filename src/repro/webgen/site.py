@@ -3,8 +3,10 @@
 A :class:`SiteState` is built once per domain from the scenario seed and
 then answers ``manifest(week)`` queries: the exact set of client-side
 resources the site's landing page carries at that snapshot.  Version
-changes are precomputed as sparse timelines, so a manifest lookup is a
-handful of binary searches.
+changes are precomputed as sparse timelines, and the weeks at which any
+manifest input changes split the calendar into *content epochs*: every
+week of an epoch has the same manifest, so it is built once per epoch
+and a lookup is one binary search.
 
 The update behaviour encodes Section 7's findings:
 
@@ -90,10 +92,13 @@ class FlashUsage:
 
 @dataclasses.dataclass(frozen=True)
 class SiteManifest:
-    """Ground truth for one (domain, week) landing page."""
+    """Ground truth for one domain's landing page over a content epoch.
+
+    A manifest carries no week: every week of one content epoch (see
+    :meth:`SiteState.manifest`) shares one manifest object.
+    """
 
     domain: Domain
-    week_ordinal: int
     wordpress_version: Optional[str]
     libraries: Tuple[LibraryInclusion, ...]
     extra_scripts: Tuple[ExtraScript, ...]
@@ -183,6 +188,7 @@ class SiteState:
         #: Whether this site's self-hosted mirrors carry benign edits
         #: (set by the ecosystem; Section 9 hash audit).
         self.mirrors_modified = False
+        #: One-slot memo: (content epoch index, its manifest).
         self._manifest_memo: Optional[Tuple[int, SiteManifest]] = None
         draw = rng.random()
         if draw < behavior.frozen:
@@ -290,6 +296,35 @@ class SiteState:
                 self._catalogs,
                 self.calendar.week_at(0).date,
             )
+
+        #: Sorted weeks ``w`` in ``1 .. len(calendar) - 1`` at which some
+        #: input of :meth:`_build_manifest` may differ from week
+        #: ``w - 1``'s.  Computed last, after migration has moved
+        #: ``active_until``.
+        self._total_weeks = total_weeks
+        self.change_weeks: Tuple[int, ...] = self._change_weeks(total_weeks)
+
+    def _change_weeks(self, total_weeks: int) -> Tuple[int, ...]:
+        weeks = {week for week, _ in self.wp_timeline}
+        for membership in self.memberships:
+            weeks.add(membership.active_from)
+            if membership.active_until is not None:
+                weeks.add(membership.active_until)
+            weeks.update(membership._weeks)
+        flash = self.flash
+        if flash.drop_week is not None:
+            weeks.add(flash.drop_week)
+        if flash.uses_flash:
+            # The ``always`` share ramps with the week, so one site's
+            # AllowScriptAccess value can flip; ask the model itself.
+            access_at = self._flash_model.script_access_at
+            previous = access_at(flash, 0)
+            for week in range(1, total_weeks):
+                current = access_at(flash, week)
+                if current != previous:
+                    weeks.add(week)
+                previous = current
+        return tuple(sorted(w for w in weeks if 0 < w < total_weeks))
 
     # ------------------------------------------------------------------
     def _hazard(self) -> float:
@@ -472,14 +507,23 @@ class SiteState:
         return WordPressModel.version_at(self.wp_timeline, ordinal)
 
     def manifest(self, ordinal: int) -> SiteManifest:
-        """Ground truth for this site's landing page at a kept week."""
-        # One-slot memo: within a crawl week the manifest is requested
-        # once for the site-state digest and once for page serving.
+        """Ground truth for this site's landing page at a kept week.
+
+        Every input of :meth:`_build_manifest` is constant between two
+        change weeks, so the weeks of one content epoch share one
+        manifest: a one-slot memo keyed by epoch returns it for a crawl
+        walking a site's weeks in order, and for the repeated requests
+        of one crawl week (site-state key, then page serving).  A week
+        outside the calendar is built directly.
+        """
+        if not 0 <= ordinal < self._total_weeks:
+            return self._build_manifest(ordinal)
+        epoch = bisect.bisect_right(self.change_weeks, ordinal)
         memo = self._manifest_memo
-        if memo is not None and memo[0] == ordinal:
+        if memo is not None and memo[0] == epoch:
             return memo[1]
         manifest = self._build_manifest(ordinal)
-        self._manifest_memo = (ordinal, manifest)
+        self._manifest_memo = (epoch, manifest)
         return manifest
 
     def _build_manifest(self, ordinal: int) -> SiteManifest:
@@ -551,7 +595,6 @@ class SiteState:
 
         return SiteManifest(
             domain=self.domain,
-            week_ordinal=ordinal,
             wordpress_version=wp_version,
             libraries=tuple(inclusions),
             extra_scripts=self.extra_scripts,

@@ -39,6 +39,20 @@ class TestHistogram:
         assert hist.total == 114
         assert hist.vmin == 0 and hist.vmax == 100
 
+    @pytest.mark.parametrize(
+        "edges", [(0, 1, 5), (2, 2, 7), (-3, 0, 0, 4), SCRIPTS_PER_PAGE_EDGES]
+    )
+    def test_bucket_matches_a_linear_scan(self, edges):
+        # Reference: the first bucket whose (inclusive) edge holds the
+        # value, else the overflow bucket — duplicate edges included.
+        for value in range(min(edges) - 3, max(edges) + 4):
+            hist = Histogram(edges)
+            hist.observe(value)
+            expected = next(
+                (i for i, edge in enumerate(edges) if value <= edge), len(edges)
+            )
+            assert hist.counts.index(1) == expected, (edges, value)
+
     def test_merge_is_exact_and_order_free(self):
         rng = random.Random(3)
         values = [rng.randint(0, 40) for _ in range(200)]

@@ -1,6 +1,7 @@
 """Regression analysis, store persistence, CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -112,6 +113,32 @@ class TestPersistence:
 
     def test_json_serializable(self, store):
         assert json.dumps(store_to_dict(store))
+
+    def test_backwards_trajectory_is_a_typed_store_error(self):
+        # A second run over weeks already crawled ingests them again;
+        # sites that changed version within the month then record a
+        # change at an earlier week than their last one.
+        from repro import ScenarioConfig, Study
+        from repro.crawler.persistence import store_to_bytes
+
+        study = Study(ScenarioConfig(population=60, seed=21), mode="manifest")
+        month = study.config.calendar.last_month()
+        study.run(weeks=month)
+        store_to_bytes(study.store)  # one pass encodes
+        study.run(weeks=month)
+        with pytest.raises(StoreError) as caught:
+            store_to_bytes(study.store)
+        found = re.fullmatch(
+            r"site rank (\d+): the (.+) trajectory runs backwards "
+            r"\(week (\d+) recorded after week (\d+)\)",
+            caught.value.message,
+        )
+        assert found, caught.value.message
+        rank, subject, week, previous = found.groups()
+        assert int(rank) in study.store.observed_domains
+        assert subject == "WordPress" or subject in study.store.symbols.library.symbols
+        first, last = month[0].ordinal, month[-1].ordinal
+        assert first <= int(week) < int(previous) <= last
 
 
 class TestCli:

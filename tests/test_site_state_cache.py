@@ -1,17 +1,22 @@
-"""The per-process site-state cache: one build per domain per dataset.
+"""The per-process dataset cache: one population and one state per domain.
 
-A :class:`~repro.webgen.site.SiteState` is a pure function of dataset
-identity (:func:`~repro.config.scenario_digest`) and the domain, so
-every ecosystem of one dataset shares one set of states.  These tests
-count builds, never time them:
+A :class:`~repro.webgen.domains.DomainPopulation` and every
+:class:`~repro.webgen.site.SiteState` are pure functions of dataset
+identity (:func:`~repro.config.scenario_digest`), the library
+calibration table the sites are built from, and the domain, so every
+ecosystem of one dataset shares one population and one set of states.
+These tests count builds, never time them:
 
 * a two-tick fleet — a Study and a worker ecosystem per tick, each
-  tick with its own profile-store paths — builds each state once;
+  tick with its own profile-store paths — builds each state once and
+  draws one population;
 * configs that differ only in execution, incremental or observability
   knobs share states;
 * another seed or another scenario-pack parameter builds its own
   states, and a run after another dataset's run saves the same store
-  bytes as a run from an empty cache.
+  bytes as a run from an empty cache;
+* a patched calibration table (as the ablation benchmarks patch it)
+  builds its own states and population, and its manifests show it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import collections
 import dataclasses
 
 import pytest
+
+import repro.webgen.libraries as libraries_module
 
 from repro import Study
 from repro.config import (
@@ -35,6 +42,7 @@ from repro.runtime import worker as worker_module
 from repro.scenarios import apply_pack
 from repro.webgen import WebEcosystem
 from repro.webgen import ecosystem as ecosystem_module
+from repro.webgen.domains import DomainPopulation
 from repro.webgen.site import SiteState
 
 
@@ -50,7 +58,7 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(ecosystem_module, "SiteState", CountingSiteState)
     monkeypatch.setattr(
-        ecosystem_module, "_SITE_STATE_CACHE", collections.OrderedDict()
+        ecosystem_module, "_DATASET_CACHE", collections.OrderedDict()
     )
     monkeypatch.setattr(
         worker_module, "_ECOSYSTEM_CACHE", collections.OrderedDict()
@@ -63,13 +71,40 @@ def _touch_all(ecosystem: WebEcosystem) -> None:
         ecosystem.manifest(domain, 0)
 
 
-def test_fleet_builds_each_state_once(builds, tmp_path):
+@pytest.fixture()
+def populations(monkeypatch):
+    """A count of population draws per population size."""
+    counts = collections.Counter()
+
+    class CountingPopulation(DomainPopulation):
+        def __init__(self, size, accessibility, rng, total_weeks):
+            counts[size] += 1
+            super().__init__(size, accessibility, rng, total_weeks)
+
+    monkeypatch.setattr(ecosystem_module, "DomainPopulation", CountingPopulation)
+    return counts
+
+
+def test_fleet_builds_each_state_once(builds, populations, tmp_path):
     plan = FleetPlan.build(population=24, seed=7, ticks=2, weeks_per_tick=2)
     records = Orchestrator(tmp_path / "q", plan).run()
     assert records
     assert builds, "the fleet built no site state"
     assert len({digest for digest, _ in builds}) == 1
     assert set(builds.values()) == {1}
+    # A Study and a worker ecosystem per tick: one population draw.
+    assert populations == {24: 1}
+
+
+def test_ecosystems_of_one_dataset_share_one_population(builds, populations):
+    config = ScenarioConfig(population=30, seed=9)
+    first = WebEcosystem(config)
+    second = WebEcosystem(
+        dataclasses.replace(config, execution=ExecutionConfig(workers=2))
+    )
+    assert second.population is first.population
+    assert second.network is not first.network
+    assert populations == {30: 1}
 
 
 def test_execution_incremental_observability_share_states(builds, tmp_path):
@@ -130,10 +165,49 @@ def test_other_datasets_build_their_own_states(builds):
     assert set(builds.values()) == {1}
 
 
+def _fully_visible():
+    """The calibration the full-visibility ablation patches in."""
+    return {
+        name: dataclasses.replace(profile, version_visible_rate=1.0)
+        for name, profile in _ORIGINAL_PROFILES().items()
+    }
+
+
+_ORIGINAL_PROFILES = libraries_module.library_profiles
+
+
+def test_patched_calibration_builds_its_own_dataset(builds, populations, monkeypatch):
+    config = ScenarioConfig(population=60, seed=77)
+    reference = WebEcosystem(config)
+    _touch_all(reference)
+    monkeypatch.setattr(libraries_module, "library_profiles", _fully_visible)
+    patched = WebEcosystem(config)
+    assert patched.population is not reference.population
+    assert populations == {60: 2}
+    hidden = 0
+    for domain in patched.population:
+        state = patched.site_state(domain)
+        assert state is not reference.site_state(domain)
+        assert builds[(scenario_digest(config), domain.rank)] == 2
+        before = reference.manifest(domain, 0).libraries
+        after = patched.manifest(domain, 0).libraries
+        # Only visibility moves; every inclusion is now versioned.
+        assert [
+            dataclasses.replace(inc, version_visible=True) for inc in before
+        ] == list(after)
+        assert all(inc.version_visible for inc in after)
+        hidden += sum(not inc.version_visible for inc in before)
+    assert hidden > 0
+    # Restoring the table finds the calibrated dataset again.
+    monkeypatch.setattr(libraries_module, "library_profiles", _ORIGINAL_PROFILES)
+    again = WebEcosystem(config)
+    assert again.population is reference.population
+
+
 def test_store_bytes_do_not_depend_on_earlier_datasets(builds):
     target = _pack(0.3)
     cold = _store_bytes(target)
-    ecosystem_module._SITE_STATE_CACHE.clear()
+    ecosystem_module._DATASET_CACHE.clear()
     _store_bytes(_pack(0.15))
     _store_bytes(dataclasses.replace(target, seed=12))
     assert _store_bytes(target) == cold
