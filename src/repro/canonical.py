@@ -3,7 +3,8 @@
 :func:`to_canonical_dict` is the one encoder behind every canonical
 document that holds typed values: the analysis results (re-exported
 from :mod:`repro.analysis.api`, which documents the registry that
-uses it) and the crawler's cross-run profile store segments.  It
+uses it) and the crawler's cross-run profile store segments;
+:func:`canonical_digest` hashes it to digest a run's identity.  It
 imports nothing from the rest of the package, so any layer may use it
 without an import cycle.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import enum
+import hashlib
+import json
 
 
 def to_canonical_dict(value: object) -> object:
@@ -59,3 +62,12 @@ def _key(key: object) -> str:
     if isinstance(key, enum.Enum):
         return str(key.value)
     return str(key)
+
+
+def canonical_digest(value: object) -> str:
+    """sha256 of the compact, key-sorted JSON of ``value``'s canonical
+    encoding: it follows declared field values only, never pickle bytes,
+    module paths or the interpreter.  A value that falls through to
+    ``str()`` would hash an object address, so give it a ``describe()``."""
+    text = json.dumps(to_canonical_dict(value), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -329,12 +329,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         return 0
 
+    from .durable import parse_json
+
     document_path = Path(options.queue_dir) / SWEEP_DOCUMENT_NAME
     if args.action == "report":
-        import json
-
         try:
-            document = json.loads(document_path.read_text())
+            document = parse_json(document_path.read_bytes())
         except (OSError, ValueError) as exc:
             print(
                 f"error: no folded sweep document at {document_path} "
@@ -365,10 +365,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"  {record.state} {record.job_id}: {record.error}",
                 file=sys.stderr,
             )
-    import json
-
     try:
-        document = json.loads(document_path.read_text())
+        document = parse_json(document_path.read_bytes())
     except (OSError, ValueError):
         print(
             f"error: sweep finished but no folded document at "

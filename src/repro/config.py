@@ -15,10 +15,9 @@ while preserving every rate and trend shape.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import pickle
 from typing import Optional, Tuple
 
+from .canonical import canonical_digest
 from .errors import ConfigError
 from .timeline import StudyCalendar, default_calendar
 
@@ -244,7 +243,7 @@ class PackSelection:
     under another.  ``params`` is the *fully resolved* parameter set
     (given values merged over pack defaults), canonicalized as sorted
     ``(name, json-encoded value)`` pairs so equal selections compare and
-    pickle identically.
+    digest identically.
 
     The default selection is the ``baseline`` pack with no parameters —
     an unset pack and an explicit ``baseline`` are the same identity.
@@ -478,8 +477,10 @@ def scenario_digest(config: ScenarioConfig) -> str:
     first — they can never change a byte (the runtime determinism
     contract), so resuming with different workers, backend, shard size,
     cache, or metrics settings is legal and produces the identical
-    store.  The run ledger pins runs with it, and the web generator
-    keys its per-process site-state cache on it.
+    store.  The digest hashes canonical JSON of the declared field
+    values, never pickle bytes, so it survives module renames and
+    interpreter upgrades.  The run ledger pins runs with it, and the
+    web generator keys its per-process site-state cache on it.
     """
     normalized = dataclasses.replace(
         config,
@@ -487,7 +488,7 @@ def scenario_digest(config: ScenarioConfig) -> str:
         incremental=IncrementalConfig(),
         observability=ObservabilityConfig(),
     )
-    return hashlib.sha256(pickle.dumps(normalized)).hexdigest()
+    return canonical_digest(normalized)
 
 
 def small_scenario(seed: int = 20230926) -> ScenarioConfig:

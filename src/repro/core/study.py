@@ -33,6 +33,7 @@ from ..analysis import (
 )
 from ..config import ScenarioConfig, default_scenario
 from ..crawler import Crawler, CrawlReport, ObservationStore
+from ..durable import atomic_write_bytes
 from ..errors import AnalysisError
 from ..fingerprint import FingerprintEngine
 from ..options import RunOptions
@@ -95,12 +96,13 @@ class Study:
     def run(self, weeks=None) -> CrawlReport:
         """Crawl ``weeks`` (default: the whole calendar) into this study's store.
 
-        Not idempotent: every call ingests its weeks into the same
-        store, so a second run over weeks already crawled counts them
-        again, and if a site's versions changed in between, saving the
-        store (``store_to_bytes``) raises :class:`~repro.errors.StoreError`
-        because that site's trajectory runs backwards.  Crawl each set
-        of weeks once per instance; use a new ``Study`` to crawl again.
+        A week whose pages the store already holds is refused with
+        :class:`~repro.errors.CrawlError` before anything is probed (a
+        second crawl would count them twice).  Crawl weeks in calendar
+        order: an earlier week crawled later makes a changed site's
+        trajectory run backwards, and ``store_to_bytes`` then raises
+        :class:`~repro.errors.StoreError`.  Use a new ``Study`` to crawl
+        again.
 
         With ``options.observability.metrics_out`` set, the report's
         canonical metrics document is written there after the crawl —
@@ -117,8 +119,10 @@ class Study:
         self._crawl_report = crawler.run(weeks=weeks)
         metrics_out = self.options.observability.metrics_out
         if metrics_out:
-            with open(metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(self._crawl_report.metrics.canonical_json())
+            atomic_write_bytes(
+                metrics_out,
+                self._crawl_report.metrics.canonical_json().encode("utf-8"),
+            )
         return self._crawl_report
 
     @property

@@ -350,8 +350,8 @@ class Crawler:
                 metrics document, or measured over a different grid.
         """
         import hashlib
-        import json
 
+        from ..durable import parse_json
         from ..runtime.sharding import CostModel
 
         try:
@@ -362,8 +362,8 @@ class Crawler:
                 f"cannot read plan-from metrics {path!r}: {exc}"
             ) from exc
         try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+            document = parse_json(raw)
+        except ValueError as exc:
             raise ConfigError(
                 f"plan-from metrics {path!r} is not a JSON document: {exc}"
             ) from exc
@@ -392,12 +392,27 @@ class Crawler:
         journal is replayed — verified against the recorded manifest —
         so only the missing shards execute.  A killed-and-resumed run
         produces a byte-identical store to an uninterrupted one.
+
+        Raises:
+            CrawlError: :attr:`store` already holds pages of a target
+                week (a second crawl would count them twice); raised
+                before anything is probed or fetched.
         """
         ecosystem = self.ecosystem
         calendar = ecosystem.calendar
         target_weeks: Sequence[Week] = tuple(
             weeks if weeks is not None else calendar.weeks
         )
+        held = self.store.weeks
+        crawled = [
+            w.ordinal for w in target_weeks
+            if w.ordinal in held and held[w.ordinal].collected
+        ]
+        if crawled:
+            raise CrawlError(
+                f"week ordinals {crawled} are already in this crawl's store "
+                f"(crawl each week once, or start a new Study)"
+            )
 
         instruments = Instruments(
             enabled=ecosystem.config.observability.metrics

@@ -28,10 +28,10 @@ trajectories, untrusted-host sets); the memoization caches rebuild on
 demand.
 
 Durability: :func:`save_store` and :func:`export_store_json` write
-through :func:`~repro.runtime.ledger.atomic_write_bytes`, the primitive
-the run ledger journals with — a same-directory temp file, fsync'd and
-atomically renamed into place, then a directory fsync — so a reader can
-never observe a torn write and the new name survives a crash.
+through :func:`~repro.durable.atomic_write_bytes`, the one durable-write
+primitive — a same-directory temp file, fsync'd and atomically renamed
+into place, then a directory fsync — so a reader can never observe a
+torn write and the new name survives a crash.
 Corruption — truncated sections, flipped bytes, foreign or unsupported
 formats — surfaces as a typed :class:`~repro.errors.StoreError`
 carrying the path and (when identifiable) the failing section, never as
@@ -48,8 +48,8 @@ from array import array
 from pathlib import Path
 from typing import Dict, List, Union
 
+from ..durable import atomic_write_bytes, parse_json
 from ..errors import StoreError
-from ..runtime.ledger import atomic_write_bytes
 from ..timeline import StudyCalendar
 from ..vulndb import MatchMode, VersionMatcher, default_database
 from .store import _COLUMN_FIELDS, _SCALAR_FIELDS, ObservationStore
@@ -790,16 +790,11 @@ def load_store(
             raise
 
     try:
-        document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        detail = (
-            f"{exc.msg} at position {exc.pos}"
-            if isinstance(exc, json.JSONDecodeError)
-            else str(exc)
-        )
+        document = parse_json(data)
+    except ValueError as exc:
         raise StoreError(
             f"store file is neither a format-v2 binary blob nor valid JSON "
-            f"(truncated or corrupt: {detail})",
+            f"(truncated or corrupt: {exc})",
             path=path,
         ) from exc
     payload = document

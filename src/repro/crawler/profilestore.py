@@ -28,12 +28,13 @@ designed to keep the runtime determinism contract intact:
   storing hits again would change no later lookup.
 * **One checksummed segment per crawl shard.**  A shard's new profiles
   are written once, when the shard's block ends, as one segment file:
-  a JSON header line (``format``, entry ``count``, ``sha256`` of the
-  body), then the body — canonical JSON (sorted keys) mapping each
-  content address to :func:`~repro.canonical.to_canonical_dict` of its
-  profile.  The file is named after the sha256 of its bytes, so a
-  retried or resumed shard rewrites an identical file (or finds it
-  there), and it is finalized by the ledger's fsync + rename primitive.
+  a :mod:`repro.durable` header-line record whose header adds the entry
+  ``count``, and whose body is canonical JSON (sorted keys) mapping
+  each content address to :func:`~repro.canonical.to_canonical_dict`
+  of its profile.  The file is named after the sha256 of its bytes, so
+  a retried or resumed shard rewrites an identical file (or finds it
+  there), and it is finalized by
+  :func:`~repro.durable.atomic_write_bytes`.
   Readers load and verify each predecessor's segments once, into one
   index; a torn, bit-flipped or malformed segment contributes nothing,
   and an entry that does not decode to a profile
@@ -57,9 +58,9 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..canonical import to_canonical_dict
+from ..durable import atomic_write_bytes, encode_record, parse_json, read_record
 from ..fingerprint import PageProfile
 from ..fingerprint.profile import profile_from_canonical
-from ..runtime.ledger import atomic_write_bytes
 from .cache import SiteStateKey
 
 #: Version of the generation-directory schema.  A generation whose
@@ -103,35 +104,21 @@ def profile_digest(domain_name: str, rank: int, key: SiteStateKey) -> str:
 def _read_segment(path: Path) -> Dict[str, object]:
     """The entries of one segment file; empty unless every check passes.
 
-    Checks: a header line, a JSON object naming this format, a body
-    whose sha256 matches the header's, and a body that parses as a JSON
-    object of ``count`` entries, each a JSON object.  Entries are not
-    decoded here — only a lookup that hits one decodes it.
+    Checks: a record of this format that verifies
+    (:func:`~repro.durable.read_record`), and a body that parses as a
+    JSON object of ``count`` entries, each a JSON object.  Entries are
+    not decoded here — only a lookup that hits one decodes it.
     """
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return {}
-    head, sep, body = raw.partition(b"\n")
-    if not sep:
+    record = read_record(path, PROFILE_STORE_FORMAT)
+    if not record.ok:
         return {}
     try:
-        header = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError):
-        return {}
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != PROFILE_STORE_FORMAT
-        or header.get("sha256") != hashlib.sha256(body).hexdigest()
-    ):
-        return {}
-    try:
-        entries = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError):
+        entries = parse_json(record.body)
+    except ValueError:
         return {}
     if (
         not isinstance(entries, dict)
-        or header.get("count") != len(entries)
+        or record.header.get("count") != len(entries)
         or not all(isinstance(entry, dict) for entry in entries.values())
     ):
         return {}
@@ -199,7 +186,7 @@ class ProfileStore:
     @staticmethod
     def _valid_generation(path: Path) -> bool:
         try:
-            marker = json.loads((path / MARKER_NAME).read_text())
+            marker = parse_json((path / MARKER_NAME).read_bytes())
         except (OSError, ValueError):
             return False
         return (
@@ -294,12 +281,8 @@ class ProfileStore:
         self.write_dir.mkdir(parents=True, exist_ok=True)
         marker = self.write_dir / MARKER_NAME
         if not marker.exists():
-            atomic_write_bytes(
-                marker,
-                json.dumps(
-                    {"format": PROFILE_STORE_FORMAT}, sort_keys=True
-                ).encode("utf-8"),
-            )
+            text = json.dumps({"format": PROFILE_STORE_FORMAT})
+            atomic_write_bytes(marker, text.encode("utf-8"))
         body = json.dumps(
             {
                 digest: to_canonical_dict(profile)
@@ -308,15 +291,9 @@ class ProfileStore:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        header = json.dumps(
-            {
-                "count": len(self._pending),
-                "format": PROFILE_STORE_FORMAT,
-                "sha256": hashlib.sha256(body).hexdigest(),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        data = header + b"\n" + body
+        data = encode_record(
+            PROFILE_STORE_FORMAT, body, count=len(self._pending)
+        )
         path = self.write_dir / (
             hashlib.sha256(data).hexdigest() + SEGMENT_SUFFIX
         )

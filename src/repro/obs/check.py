@@ -7,10 +7,10 @@ Used by the CI smoke step to keep ``--metrics-out`` honest.
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import List, Optional
 
+from ..durable import parse_json
 from .schema import load_schema, validate_metrics
 
 
@@ -23,8 +23,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     failed = False
     for name in argv:
         try:
-            with open(name, "r") as handle:
-                document = json.load(handle)
+            with open(name, "rb") as handle:
+                document = parse_json(handle.read())
         except (OSError, ValueError) as exc:
             print(f"{name}: unreadable: {exc}", file=sys.stderr)
             failed = True

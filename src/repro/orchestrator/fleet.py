@@ -35,6 +35,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..durable import atomic_write_bytes
 from ..errors import InjectedJobCrash, QueueError, ReproError
 from ..obs import Instruments
 from ..runtime.dispatch import SimulatedClock, backoff_delay
@@ -232,17 +233,8 @@ class Orchestrator:
     def write_fleet_metrics(self) -> Path:
         path = self.queue.root / FLEET_METRICS_NAME
         document = fleet_metrics(self.queue, self.plan)
-        from ..runtime.ledger import atomic_write_bytes
-
-        atomic_write_bytes(
-            path,
-            (
-                json.dumps(
-                    document, sort_keys=True, separators=(",", ":")
-                )
-                + "\n"
-            ).encode("utf-8"),
-        )
+        text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        atomic_write_bytes(path, (text + "\n").encode("utf-8"))
         return path
 
 

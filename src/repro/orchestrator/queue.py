@@ -5,13 +5,13 @@ Reuses the PR-4 ledger idioms at job granularity:
 * a **versioned queue manifest** (``queue.json``) pinning the fleet plan
   (see :class:`~repro.orchestrator.jobs.FleetPlan`) — re-opening with a
   different plan is refused;
-* **per-job write-ahead records** (``jobs/<job>.rec``): one JSON header
-  line carrying the critical scalars (state, attempt) and a sha256 over
-  the body, then the canonical-JSON body.  Every state transition is one
-  :func:`~repro.runtime.ledger.atomic_write_bytes` (temp file, fsync,
-  rename, directory fsync), so a reader — including a resumed
-  orchestrator — sees either the previous record or the complete next
-  one;
+* **per-job write-ahead records** (``jobs/<job>.rec``): one
+  :mod:`repro.durable` header-line record whose header carries the
+  critical scalars (state, attempt) and whose body is the record's
+  canonical JSON.  Every state transition is one
+  :func:`~repro.durable.atomic_write_bytes` (temp file, fsync, rename,
+  directory fsync), so a reader — including a resumed orchestrator —
+  sees either the previous record or the complete next one;
 * **quarantine, never trust**: a record that fails validation is moved
   to ``quarantine/`` and rebuilt from its header scalars plus the job's
   ``DONE.json`` artifact manifest (written write-ahead of the ``done``
@@ -49,13 +49,21 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..durable import (
+    MISSING,
+    RecordRead,
+    atomic_write_bytes,
+    encode_record,
+    parse_json,
+    quarantine,
+    read_record,
+    sweep_temp_files,
+)
 from ..errors import QueueError
 from ..runtime.faults import FaultPlan
-from ..runtime.ledger import atomic_write_bytes
 from .jobs import FleetPlan
 
 #: Version of the job-record schema.
@@ -128,30 +136,10 @@ class JobRecord:
     lease_expires: float = 0.0
     updated_at: float = 0.0
 
-    def to_body(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "state": self.state,
-            "attempt": self.attempt,
-            "expiries_served": self.expiries_served,
-            "error": self.error,
-            "lease_owner": self.lease_owner,
-            "lease_expires": self.lease_expires,
-            "updated_at": self.updated_at,
-        }
-
     @classmethod
     def from_body(cls, body: dict) -> "JobRecord":
-        return cls(
-            job_id=body["job_id"],
-            state=body["state"],
-            attempt=body["attempt"],
-            expiries_served=body["expiries_served"],
-            error=body["error"],
-            lease_owner=body["lease_owner"],
-            lease_expires=body["lease_expires"],
-            updated_at=body["updated_at"],
-        )
+        """The record a body holds; every field is required."""
+        return cls(**{f.name: body[f.name] for f in dataclasses.fields(cls)})
 
     @property
     def terminal(self) -> bool:
@@ -240,7 +228,7 @@ class JobQueue:
         self.dead_letter_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         self.chaos_dir.mkdir(parents=True, exist_ok=True)
-        self._sweep_temp_files()
+        sweep_temp_files(self.jobs_dir, self.root)
         self.plan = plan
 
         resumed = self.manifest_path.exists()
@@ -312,37 +300,31 @@ class JobQueue:
         and anything unprovable degrades to a pending re-execution —
         recovery re-runs work rather than trusting damaged bytes.
         """
-        path = self.record_path(job_id)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None, 0
-        head, sep, body = raw.partition(b"\n")
-        header: Optional[dict]
-        try:
-            header = json.loads(head.decode("utf-8"))
-            if not isinstance(header, dict):
-                header = None
-        except (UnicodeDecodeError, ValueError):
-            header = None
-        if header is not None and sep and (
-            header.get("format") == RECORD_FORMAT
-            and header.get("job_id") == job_id
-            and header.get("sha256") == hashlib.sha256(body).hexdigest()
-        ):
-            try:
-                parsed = json.loads(body.decode("utf-8"))
-                record = JobRecord.from_body(parsed)
-                if record.job_id == job_id and record.state in JOB_STATES:
-                    return record, 0
-            except (UnicodeDecodeError, ValueError, KeyError, TypeError):
-                pass
+        read, record = self._verified_record(job_id)
+        if record is not None or read.verdict == MISSING:
+            return record, 0
         # Invalid: quarantine the bytes, rebuild from what provably
         # survived.
-        self._quarantine_file(path)
-        rebuilt = self._rebuild_record(job_id, header)
+        quarantine(self.record_path(job_id), self.quarantine_dir)
+        rebuilt = self._rebuild_record(job_id, read.header)
         self._write_record(rebuilt, allow_tear=False)
         return rebuilt, 1
+
+    def _verified_record(
+        self, job_id: str
+    ) -> Tuple[RecordRead, Optional[JobRecord]]:
+        """The read of the job's record file, and the record it holds
+        when the file verifies and holds a valid record of this job."""
+        read = read_record(self.record_path(job_id), RECORD_FORMAT)
+        if not read.ok or read.header.get("job_id") != job_id:
+            return read, None
+        try:
+            record = JobRecord.from_body(parse_json(read.body))
+        except (ValueError, KeyError, TypeError):
+            return read, None
+        if record.job_id != job_id or record.state not in JOB_STATES:
+            return read, None
+        return read, record
 
     def _rebuild_record(
         self, job_id: str, header: Optional[dict]
@@ -352,41 +334,32 @@ class JobQueue:
         if not isinstance(attempt, int) or attempt < 0:
             attempt = 0
         record = JobRecord(job_id=job_id, attempt=attempt)
-        if state == DONE or self.read_done_manifest(job_id) is not None:
-            done = self.read_done_manifest(job_id)
-            if done is not None:
-                record.state = DONE
-                record.attempt = done["attempt"]
-                return record
-            # A done header without a valid DONE.json cannot be
-            # trusted; fall through to re-execution.
-            state = PENDING
-        if state in (FAILED, DEAD_LETTER, SKIPPED, BLOCKED):
+        # Only a valid DONE.json proves completion: a done header without
+        # one cannot be trusted and falls through to re-execution.
+        done = self.read_done_manifest(job_id)
+        if done is not None:
+            record.state = DONE
+            record.attempt = done["attempt"]
+        elif state in (FAILED, DEAD_LETTER, SKIPPED, BLOCKED):
             record.state = state
             record.error = "(recovered from torn record)"
-        else:
-            record.state = PENDING
         return record
 
     # ------------------------------------------------------------------
     # Durable writes (with optional injected tears)
     # ------------------------------------------------------------------
     def _write_record(self, record: JobRecord, allow_tear: bool = True) -> None:
-        body = json.dumps(record.to_body(), sort_keys=True).encode("utf-8")
-        header = json.dumps(
-            {
-                "format": RECORD_FORMAT,
-                "job_id": record.job_id,
-                "state": record.state,
-                "attempt": record.attempt,
-                "sha256": hashlib.sha256(body).hexdigest(),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        data = header + b"\n" + body
+        body = json.dumps(dataclasses.asdict(record), sort_keys=True).encode()
+        data = encode_record(
+            RECORD_FORMAT,
+            body,
+            job_id=record.job_id,
+            state=record.state,
+            attempt=record.attempt,
+        )
         if allow_tear and self._should_tear(record):
             # The modeled failure: header committed, body half-written.
-            data = header + b"\n" + body[: max(1, len(body) // 2)]
+            data = data[: len(data) - len(body) + max(1, len(body) // 2)]
         atomic_write_bytes(self.record_path(record.job_id), data)
 
     def _should_tear(self, record: JobRecord) -> bool:
@@ -406,22 +379,6 @@ class JobQueue:
             return False
         atomic_write_bytes(marker, b"torn\n")
         return True
-
-    def _quarantine_file(self, path: Path) -> None:
-        target = self.quarantine_dir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_dir / f"{path.name}.{suffix}"
-        os.replace(path, target)
-
-    def _sweep_temp_files(self) -> None:
-        for directory in (self.jobs_dir, self.root):
-            for tmp in directory.glob(".*.tmp"):
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - raced removal
-                    pass
 
     # ------------------------------------------------------------------
     # State transitions
@@ -555,7 +512,7 @@ class JobQueue:
         """The job's ``DONE.json`` if present, schema-valid, and with
         every listed artifact matching its recorded checksum."""
         try:
-            manifest = json.loads(self.done_path(job_id).read_text())
+            manifest = parse_json(self.done_path(job_id).read_bytes())
         except (OSError, ValueError):
             return None
         if (
@@ -593,22 +550,13 @@ class JobQueue:
         """
         records: List[JobRecord] = []
         for spec in plan.jobs:
-            path = self.record_path(spec.job_id)
-            try:
-                raw = path.read_bytes()
-                head, _, body = raw.partition(b"\n")
-                header = json.loads(head.decode("utf-8"))
-                if header.get("sha256") != hashlib.sha256(body).hexdigest():
-                    raise ValueError("checksum mismatch")
-                records.append(
-                    JobRecord.from_body(json.loads(body.decode("utf-8")))
+            read, record = self._verified_record(spec.job_id)
+            if record is None:
+                damage = "invalid body" if read.ok else read.verdict
+                record = JobRecord(
+                    job_id=spec.job_id,
+                    state=PENDING,
+                    error=f"unreadable record ({damage})",
                 )
-            except Exception as exc:  # noqa: BLE001 - diagnostic path
-                records.append(
-                    JobRecord(
-                        job_id=spec.job_id,
-                        state=PENDING,
-                        error=f"unreadable record ({type(exc).__name__})",
-                    )
-                )
+            records.append(record)
         return records

@@ -1,9 +1,9 @@
 """Job runners: what each fleet job actually executes.
 
 Every runner is a deterministic, idempotent function of its inputs —
-artifacts are written with the ledger's atomic primitive, so re-running
-a job (after a retry, a lease loss, or a whole-process kill) converges
-on byte-identical outputs:
+artifacts are written with :func:`~repro.durable.atomic_write_bytes`,
+so re-running a job (after a retry, a lease loss, or a whole-process
+kill) converges on byte-identical outputs:
 
 * ``crawl`` — a checkpointed :class:`~repro.core.Study` run over the
   tick's week window.  The run ledger lives in the queue's
@@ -52,8 +52,8 @@ from pathlib import Path
 from typing import Dict, Tuple
 
 from ..config import ScenarioConfig
+from ..durable import atomic_write_bytes
 from ..errors import JobExecutionError
-from ..runtime.ledger import atomic_write_bytes
 from .jobs import (
     ANALYSES,
     CRAWL,

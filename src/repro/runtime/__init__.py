@@ -47,13 +47,7 @@ from .dispatch import (
     dispatch_shards,
 )
 from .faults import FaultPlan
-from .ledger import (
-    JournalingRunner,
-    LedgerScan,
-    RunLedger,
-    RunManifest,
-    atomic_write_bytes,
-)
+from .ledger import JournalingRunner, LedgerScan, RunLedger, RunManifest
 from .sharding import CostModel, Shard, plan_shards
 from .worker import (
     ShardTask,
@@ -80,7 +74,6 @@ __all__ = [
     "RunManifest",
     "LedgerScan",
     "JournalingRunner",
-    "atomic_write_bytes",
     "SimulatedClock",
     "DispatchResult",
     "ShardFailure",

@@ -18,15 +18,14 @@ This module makes whole-process death survivable:
   entries are **quarantined** into ``quarantine/`` and their shards
   re-executed rather than silently trusted.
 
-Each journal entry is one JSON header line (format version, shard
-index, coverage key, sha256) followed by the format-3 body: a u32
-length prefix, the shard store's canonical binary blob (format v2,
-already zlib-sectioned — see :mod:`repro.crawler.persistence`), and
-the zlib-compressed canonical JSON of the remaining payload fields
-("metrics", counters).  The checksum covers the body bytes exactly as
-they sit on disk, so verification needs no re-serialization, and the
-store blob is journaled verbatim — no re-encode on either side of the
-write-ahead boundary.
+Each journal entry is one :mod:`repro.durable` header-line record
+(format version, shard index, coverage key, sha256 of the body)
+whose body is the format-3 frame: a u32 length prefix, the shard
+store's canonical binary blob (format v2, already zlib-sectioned —
+see :mod:`repro.crawler.persistence`), and the zlib-compressed
+canonical JSON of the remaining payload fields ("metrics", counters).
+The store blob is journaled verbatim — no re-encode on either side of
+the write-ahead boundary.
 
 Run-directory layout::
 
@@ -53,31 +52,35 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import pickle
 import struct
 import time
 import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..canonical import canonical_digest
 from ..config import ScenarioConfig, scenario_digest
+from ..durable import (
+    atomic_write_bytes,
+    encode_record,
+    parse_json,
+    quarantine,
+    read_record,
+    sweep_temp_files,
+)
 from ..errors import CheckpointError, CheckpointMismatchError
 from .sharding import Shard
 from .worker import ShardTask, execute_shard_safely, shard_coverage_key
 
-#: Version of the manifest + journal-entry schema.  Format 2 (PR-5)
-#: required every journaled payload to carry its in-worker ``"metrics"``
-#: capture.  Format 3 (PR-6) frames the shard store as its canonical
-#: binary blob (length-prefixed, journaled verbatim) with only the
-#: metadata fields as compressed JSON.  Format 4 (PR-7) records the
-#: shard plan's provenance (uniform vs ``plan_from``-weighted and the
-#: source document's digest) and requires journaled span events to
-#: carry the format-2 metrics facts (``cells``/``scripts``) the
-#: canonical cost profile is derived from.  Entries of older formats
-#: are quarantined and their shards re-run — the PR-5 precedent: a
-#: resumed fold never mixes entry generations.
-LEDGER_FORMAT = 4
+#: Version of the manifest + journal-entry schema.  Format 2 requires
+#: every payload's in-worker ``"metrics"``; format 3 frames the shard
+#: store blob verbatim; format 4 records the plan's provenance and the
+#: span facts (``cells``/``scripts``) the cost profile needs; format 5
+#: digests the config and fault plan as canonical JSON, not pickle
+#: bytes, so an older checkpoint is refused.  Entries of older formats
+#: are quarantined and their shards re-run: a resumed fold never mixes
+#: entry generations.
+LEDGER_FORMAT = 5
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_DIRNAME = "journal"
@@ -92,46 +95,9 @@ JOURNAL_COMPRESSION = 1
 _STORE_LEN = struct.Struct("<I")
 
 
-# ----------------------------------------------------------------------
-# Durable file primitives
-# ----------------------------------------------------------------------
-def atomic_write_bytes(path: Path, data: bytes) -> int:
-    """Write ``data`` to ``path`` durably: temp file, fsync, atomic rename.
-
-    A reader (including a resumed run) can never observe a torn write:
-    either the old file, or the complete new one.  The containing
-    directory is fsync'd after the rename so the *name* survives a crash
-    too (best-effort on platforms without directory fsync).
-
-    Returns the number of bytes written.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    try:  # pragma: no cover - platform-dependent durability upgrade
-        dir_fd = os.open(str(path.parent), os.O_RDONLY)
-    except OSError:
-        return len(data)
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - e.g. directories on some FSes
-        pass
-    finally:
-        os.close(dir_fd)
-    return len(data)
-
-
 def _canonical(payload: object) -> str:
     """The canonical JSON text a checksum is computed over."""
     return json.dumps(payload, sort_keys=True)
-
-
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -141,11 +107,11 @@ def fault_plan_digest(fault_plan) -> str:
     """Digest of the fault plan (``"none"`` for fault-free runs)."""
     if fault_plan is None:
         return "none"
-    return hashlib.sha256(pickle.dumps(fault_plan)).hexdigest()
+    return canonical_digest(fault_plan)
 
 
 def domains_digest(domain_names: Sequence[str]) -> str:
-    return _sha256_text("\n".join(domain_names))
+    return hashlib.sha256("\n".join(domain_names).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -251,20 +217,7 @@ class RunManifest:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "format": self.format,
-            "scenario_digest": self.scenario_digest,
-            "seed": self.seed,
-            "mode": self.mode,
-            "fault_digest": self.fault_digest,
-            "week_ordinals": list(self.week_ordinals),
-            "domains_digest": self.domains_digest,
-            "domain_count": self.domain_count,
-            "store_format": self.store_format,
-            "shard_plan": [list(row) for row in self.shard_plan],
-            "plan_source": self.plan_source,
-            "plan_from_digest": self.plan_from_digest,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunManifest":
@@ -392,7 +345,7 @@ class RunLedger:
         """
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        self._sweep_temp_files()
+        sweep_temp_files(self.journal_dir)
 
         if self.manifest_path.exists():
             if not resume:
@@ -418,7 +371,7 @@ class RunLedger:
         # be attributed to any run — quarantine rather than trust them.
         quarantined = 0
         for stray in sorted(self.journal_dir.glob("shard-*.wal")):
-            self._quarantine(stray)
+            quarantine(stray, self.quarantine_dir)
             quarantined += 1
         atomic_write_bytes(
             self.manifest_path,
@@ -439,15 +392,15 @@ class RunLedger:
 
         Called from inside the worker (any backend) the moment the shard
         finishes, *before* the dispatcher can fold the payload — the
-        write-ahead property.  The entry is a JSON header line followed
-        by the format-3 body: u32 store-blob length, the store's
+        write-ahead property.  The entry is a :mod:`repro.durable` record
+        whose header carries the shard index and coverage key, and whose
+        body is the format-3 frame: u32 store-blob length, the store's
         canonical binary bytes verbatim, then the zlib-compressed
-        canonical JSON of the remaining payload fields.  The header's
-        sha256 covers the body bytes exactly as written, and the atomic
-        rename means a crash at any point leaves either no entry or a
-        complete, verifiable one.  The whole body is a deterministic
-        function of the payload, so re-journaling a validated payload
-        reproduces the original entry byte for byte.
+        canonical JSON of the remaining payload fields.  The atomic write
+        means a crash at any point leaves either no entry or a complete,
+        verifiable one.  The whole body is a deterministic function of
+        the payload, so re-journaling a validated payload reproduces the
+        original entry byte for byte.
 
         Returns the entry size in bytes.
         """
@@ -463,25 +416,19 @@ class RunLedger:
             + bytes(store_blob)
             + zlib.compress(_canonical(meta).encode("utf-8"), JOURNAL_COMPRESSION)
         )
-        header = json.dumps(
-            {
-                "format": LEDGER_FORMAT,
-                "sha256": hashlib.sha256(body).hexdigest(),
-                "shard_index": shard_index,
-                "shard_key": shard_key,
-            },
-            sort_keys=True,
-        )
         return atomic_write_bytes(
             self.entry_path(shard_index),
-            header.encode("utf-8") + b"\n" + body,
+            encode_record(
+                LEDGER_FORMAT, body, shard_index=shard_index, shard_key=shard_key
+            ),
         )
 
     # ------------------------------------------------------------------
     def _load_manifest(self) -> RunManifest:
         try:
-            document = json.loads(self.manifest_path.read_text())
-            return RunManifest.from_dict(document)
+            return RunManifest.from_dict(
+                parse_json(self.manifest_path.read_bytes())
+            )
         except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
             raise CheckpointError(
                 f"checkpoint manifest {self.manifest_path} is unreadable "
@@ -506,15 +453,12 @@ class RunLedger:
         for entry_file in sorted(self.journal_dir.glob("shard-*.wal")):
             entry = self._validate_entry(entry_file, expected_keys)
             if entry is None:
-                self._quarantine(entry_file)
+                quarantine(entry_file, self.quarantine_dir)
                 quarantined += 1
                 continue
-            index = entry["shard_index"]
-            if index in payloads:  # pragma: no cover - duplicate filename
-                self._quarantine(entry_file)
-                quarantined += 1
-                continue
-            payloads[index] = entry["payload"]
+            # A valid entry's file name spells its index, so no index
+            # comes twice.
+            payloads[entry["shard_index"]] = entry["payload"]
             replayed_bytes += entry_file.stat().st_size
         return payloads, quarantined, replayed_bytes
 
@@ -522,30 +466,19 @@ class RunLedger:
     def _validate_entry(
         entry_file: Path, expected_keys: Dict[int, str]
     ) -> Optional[dict]:
-        try:
-            raw = entry_file.read_bytes()
-        except OSError:
+        # The record check covers the header and the body bytes exactly
+        # as they sit on disk — truncation and bit-flips (in the store
+        # blob or the metadata alike) fail there without any parsing.
+        record = read_record(entry_file, LEDGER_FORMAT)
+        if not record.ok:
             return None
-        head, sep, body = raw.partition(b"\n")
-        if not sep:  # no header/body split: truncated inside the header
-            return None
-        try:
-            entry = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("format") != LEDGER_FORMAT:
-            return None
+        entry, body = record.header, record.body
         index = entry.get("shard_index")
         if not isinstance(index, int) or index not in expected_keys:
             return None
         if entry.get("shard_key") != expected_keys[index]:
             return None
         if entry_file.name != f"shard-{index:05d}.wal":
-            return None
-        # The checksum covers the body bytes exactly as they sit on
-        # disk — truncation and bit-flips (in the store blob or the
-        # metadata alike) fail here without any parsing.
-        if hashlib.sha256(body).hexdigest() != entry.get("sha256"):
             return None
         # Format-3 body: u32 store-blob length, store bytes verbatim,
         # compressed metadata JSON.
@@ -556,10 +489,8 @@ class RunLedger:
         if meta_start > len(body):
             return None
         try:
-            meta = json.loads(
-                zlib.decompress(body[meta_start:]).decode("utf-8")
-            )
-        except (zlib.error, UnicodeDecodeError, ValueError):
+            meta = parse_json(zlib.decompress(body[meta_start:]))
+        except (zlib.error, ValueError):
             return None
         if not isinstance(meta, dict) or not meta.get("ok"):
             return None
@@ -572,24 +503,7 @@ class RunLedger:
             return None
         payload = dict(meta)
         payload["store"] = body[_STORE_LEN.size : meta_start]
-        entry["payload"] = payload
-        return entry
-
-    def _quarantine(self, entry_file: Path) -> None:
-        target = self.quarantine_dir / entry_file.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_dir / f"{entry_file.name}.{suffix}"
-        os.replace(entry_file, target)
-
-    def _sweep_temp_files(self) -> None:
-        """Remove leftover temp files from writes that died mid-flight."""
-        for tmp in self.journal_dir.glob(".*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - raced removal
-                pass
+        return dict(entry, payload=payload)
 
 
 # ----------------------------------------------------------------------

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
-import pickle
 import time
 from typing import Dict, Optional, Tuple
 
+from ..canonical import canonical_digest
 from ..config import ScenarioConfig
 from ..errors import InjectedFault, InjectedShardTimeout, InjectedWorkerCrash
 from ..webgen import WebEcosystem
@@ -130,13 +129,9 @@ _ECOSYSTEM_CACHE: "collections.OrderedDict[str, WebEcosystem]" = (
 _ECOSYSTEM_CACHE_MAX = 8
 
 
-def _config_digest(config: ScenarioConfig) -> str:
-    return hashlib.sha256(pickle.dumps(config)).hexdigest()
-
-
 def _ecosystem_for(config: ScenarioConfig) -> WebEcosystem:
     """A cached ecosystem for ``config``."""
-    key = _config_digest(config)
+    key = canonical_digest(config)
     cached = _ECOSYSTEM_CACHE.get(key)
     if cached is not None:
         _ECOSYSTEM_CACHE.move_to_end(key)

@@ -11,11 +11,12 @@ Identity rules:
 
 * Applying a pack stamps a :class:`~repro.config.PackSelection` (pack
   name + fully resolved params, canonically encoded) onto the config.
-  :func:`~repro.config.scenario_digest` pickles the whole config, so
-  the selection — and therefore the pack digest — is folded into
-  dataset identity automatically: a checkpoint written under one pack
-  refuses to resume under another, and the web generator's per-process
-  site-state cache keeps one set of states per pack and parameters.
+  :func:`~repro.config.scenario_digest` hashes the canonical JSON of
+  every dataset field of the config, so the selection — and therefore
+  the pack digest — is folded into dataset identity automatically: a
+  checkpoint written under one pack refuses to resume under another,
+  and the web generator's per-process site-state cache keeps one set
+  of states per pack and parameters.
 * The ``baseline`` pack with default params stamps the *default*
   selection, so an explicitly-selected baseline and an unset pack are
   the same dataset (byte-identical store, equal scenario digest).

@@ -46,6 +46,7 @@ from ..advisor.scanner import ATTACK_SEVERITY
 from ..advisor.findings import Severity
 from ..analysis import cve_accuracy, external, overview, updates, vulnerable
 from ..analysis import flash as flash_analysis
+from ..durable import parse_json
 from ..errors import ConfigError, ReproError, ServeError
 from ..obs import Instruments
 from ..obs.schema import validate_metrics
@@ -246,7 +247,7 @@ class ServeApp:
         if crawl_metrics_path:
             path = Path(crawl_metrics_path)
             try:
-                document = json.loads(path.read_text())
+                document = parse_json(path.read_bytes())
             except (OSError, ValueError) as exc:
                 raise ServeError(f"cannot read crawl metrics {path}: {exc}")
             errors = validate_metrics(document)

@@ -105,6 +105,13 @@ class StudyCalendar:
     def __len__(self) -> int:
         return len(self._weeks)
 
+    def describe(self) -> str:
+        """The schedule's identity — start, scheduled weeks and pruned
+        indices — as :func:`~repro.canonical.to_canonical_dict` encodes
+        the calendar inside a config digest."""
+        pruned = ",".join(str(index) for index in sorted(self.pruned))
+        return f"{self.start.isoformat()}+{self.scheduled_weeks}w-[{pruned}]"
+
     def __iter__(self) -> Iterator[Week]:
         return iter(self._weeks)
 

@@ -153,6 +153,52 @@ class TestPlanFromErrors:
         proc = self._run(str(bad))
         self._assert_clean_failure(proc, "format")
 
+    def test_nested_metrics_file(self, tmp_path):
+        bad = tmp_path / "nested.json"
+        bad.write_bytes(b"[" * 200_000)
+        proc = self._run(str(bad))
+        self._assert_clean_failure(proc, "not a JSON document")
+
+
+class TestResumeErrors:
+    """A damaged or outdated checkpoint exits 2 with one error line."""
+
+    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
+
+    def _checkpointed(self, root, *extra):
+        return _cli(
+            "run",
+            "--population", "30",
+            "--weeks", "2",
+            "--checkpoint-dir", str(root),
+            *extra,
+        )
+
+    def test_nested_manifest(self, tmp_path):
+        root = tmp_path / "run"
+        assert self._checkpointed(root).returncode == 0
+        (root / "manifest.json").write_bytes(b"[" * 200_000)
+        proc = self._checkpointed(root, "--resume")
+        self._assert_clean_failure(proc, "unreadable")
+
+    def test_checkpoint_of_an_older_ledger_format(self, tmp_path):
+        root = tmp_path / "run"
+        assert self._checkpointed(root).returncode == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["format"] = 4
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        proc = self._checkpointed(root, "--resume")
+        self._assert_clean_failure(proc, "format: run recorded 4")
+
+
+class TestSweepReportErrors:
+    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
+
+    def test_nested_sweep_document(self, tmp_path):
+        (tmp_path / "fleet-sweep.json").write_bytes(b"[" * 200_000)
+        proc = _cli("sweep", "report", "--queue-dir", str(tmp_path))
+        self._assert_clean_failure(proc, "no folded sweep document")
+
 
 # ----------------------------------------------------------------------
 # Orchestrate: run/status contract

@@ -25,7 +25,7 @@ import repro
 from repro import FaultPlan, ScenarioConfig
 from repro.config import ExecutionConfig
 from repro.crawler import Crawler
-from repro.crawler.persistence import save_store, store_to_dict
+from repro.crawler.persistence import save_store, store_to_bytes, store_to_dict
 from repro.errors import (
     CheckpointError,
     CheckpointMismatchError,
@@ -316,6 +316,53 @@ class TestCorruptionPaths:
         (tmp_path / "run" / "manifest.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="unreadable"):
             _run(checkpoint=tmp_path / "run", resume=True)
+
+    def test_nested_manifest_is_a_typed_error(self, tmp_path):
+        _run(checkpoint=tmp_path / "run")
+        (tmp_path / "run" / "manifest.json").write_bytes(b"[" * 200_000)
+        with pytest.raises(CheckpointError, match="unreadable"):
+            _run(checkpoint=tmp_path / "run", resume=True)
+
+    def test_nested_entry_header_is_quarantined_and_reexecuted(self, tmp_path):
+        # A header nested too deep for the JSON parser is a torn entry,
+        # not a crash of the resumed run.
+        def saved_run(resume):
+            crawler = Crawler(
+                WebEcosystem(_CONFIG),
+                mode="manifest",
+                apply_filter=False,
+                execution=ExecutionConfig(
+                    backend="serial", workers=2, shard_size=_SHARD_SIZE
+                ),
+                checkpoint_dir=str(tmp_path / "run"),
+                resume=resume,
+            )
+            report = crawler.run(weeks=_WEEKS)
+            return report, store_to_bytes(crawler.store)
+
+        _, uninterrupted = saved_run(resume=False)
+        entries = _journal_entries(tmp_path / "run")
+        _, body = _read_entry(entries[1])
+        entries[1].write_bytes(b"[" * 200_000 + b"\n" + body)
+        report, resumed = saved_run(resume=True)
+        assert resumed == uninterrupted
+        assert report.entries_quarantined == 1
+        assert report.shards_reexecuted == 1
+        assert report.shards_replayed == len(entries) - 1
+        quarantined = list((tmp_path / "run" / "quarantine").iterdir())
+        assert [f.name for f in quarantined] == [entries[1].name]
+
+    def test_checkpoint_of_an_older_format_is_refused(self, tmp_path):
+        # Ledger format 5 digests identity as canonical JSON; a format-4
+        # checkpoint's digests were pickle bytes and never match.
+        _run(checkpoint=tmp_path / "run")
+        manifest_path = tmp_path / "run" / "manifest.json"
+        document = json.loads(manifest_path.read_text())
+        document["format"] = 4
+        manifest_path.write_text(json.dumps(document, sort_keys=True))
+        with pytest.raises(CheckpointMismatchError, match="format") as excinfo:
+            _run(checkpoint=tmp_path / "run", resume=True)
+        assert ("format", 4, LEDGER_FORMAT) in excinfo.value.mismatches
 
 
 class TestManifest:

@@ -220,6 +220,18 @@ class TestSchema:
         assert main([str(bad)]) == 1
         assert main([]) == 2
 
+    def test_checker_cli_reports_nested_input_and_goes_on(self, tmp_path, capsys):
+        from repro.obs.check import main
+
+        nested = tmp_path / "nested.json"
+        nested.write_bytes(b"[" * 200_000)
+        good = tmp_path / "good.json"
+        good.write_text(_filled().canonical_json())
+        assert main([str(nested), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert f"{nested}: unreadable" in captured.err
+        assert f"{good}: ok" in captured.out
+
     def test_load_schema_is_valid_json_document(self):
         schema = load_schema()
         assert schema["properties"]["format"]["enum"] == [METRICS_FORMAT]

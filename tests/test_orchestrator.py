@@ -206,6 +206,33 @@ class TestJobQueue:
         assert rescan.quarantined == 1
         assert rescan.records["crawl-000"].state == DONE
 
+    def test_nested_record_header_is_quarantined_and_rebuilt(self, tmp_path):
+        plan = _plan()
+        root = tmp_path / "q"
+        queue = JobQueue(root)
+        queue.open(plan)
+        path = queue.record_path("crawl-000")
+        _, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(b"[" * 200_000 + b"\n" + body)
+
+        rescan = JobQueue(root).open(plan)
+        assert rescan.quarantined == 1
+        assert rescan.records["crawl-000"].state == PENDING
+        assert [p.name for p in (root / "quarantine").iterdir()] == [
+            "crawl-000.rec"
+        ]
+        # The rebuilt record verifies on the next open.
+        assert JobQueue(root).open(plan).quarantined == 0
+
+    def test_nested_done_manifest_is_no_proof(self, tmp_path):
+        plan = _plan()
+        queue = JobQueue(tmp_path / "q")
+        queue.open(plan)
+        done = queue.done_path("crawl-000")
+        done.parent.mkdir(parents=True)
+        done.write_bytes(b"[" * 200_000)
+        assert queue.read_done_manifest("crawl-000") is None
+
     def test_done_manifest_rejects_tampered_artifacts(self, tmp_path):
         plan = _plan()
         queue = JobQueue(tmp_path / "q")

@@ -107,6 +107,12 @@ class TestPersistence:
             # The file's bytes first, then the directory holding its name.
             assert synced == [False, True], name
 
+    def test_nested_json_store_is_a_typed_error(self, study, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_bytes(b"[" * 200_000)
+        with pytest.raises(StoreError, match="neither a format-v2"):
+            load_store(path, study.config.calendar)
+
     def test_bad_format_rejected(self, study):
         with pytest.raises(StoreError):
             store_from_dict({"format": 999}, study.config.calendar)
@@ -115,17 +121,19 @@ class TestPersistence:
         assert json.dumps(store_to_dict(store))
 
     def test_backwards_trajectory_is_a_typed_store_error(self):
-        # A second run over weeks already crawled ingests them again;
-        # sites that changed version within the month then record a
-        # change at an earlier week than their last one.
+        # Weeks crawled out of calendar order — the last month, then the
+        # four weeks before it: sites that changed version between the
+        # two windows record a change at an earlier week than their
+        # last one.
         from repro import ScenarioConfig, Study
         from repro.crawler.persistence import store_to_bytes
 
         study = Study(ScenarioConfig(population=60, seed=21), mode="manifest")
         month = study.config.calendar.last_month()
+        earlier = study.config.calendar.weeks[-8:-4]
         study.run(weeks=month)
         store_to_bytes(study.store)  # one pass encodes
-        study.run(weeks=month)
+        study.run(weeks=earlier)
         with pytest.raises(StoreError) as caught:
             store_to_bytes(study.store)
         found = re.fullmatch(
@@ -137,8 +145,35 @@ class TestPersistence:
         rank, subject, week, previous = found.groups()
         assert int(rank) in study.store.observed_domains
         assert subject == "WordPress" or subject in study.store.symbols.library.symbols
-        first, last = month[0].ordinal, month[-1].ordinal
-        assert first <= int(week) < int(previous) <= last
+        assert earlier[0].ordinal <= int(week) <= earlier[-1].ordinal
+        assert month[0].ordinal <= int(previous) <= month[-1].ordinal
+
+
+class TestRepeatedRuns:
+    def test_second_run_over_crawled_weeks_is_refused(self, monkeypatch):
+        from repro import ScenarioConfig, Study
+        from repro.crawler.fetch import Fetcher
+        from repro.crawler.filtering import AccessibilityFilter
+        from repro.crawler.persistence import store_to_bytes
+        from repro.errors import CrawlError
+
+        study = Study(ScenarioConfig(population=60, seed=21))
+        weeks = study.config.calendar.weeks
+        study.run(weeks=weeks[:2])
+        before = store_to_bytes(study.store)
+        collected = study.store.weeks[0].collected
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("a refused run must not probe or fetch")
+
+        monkeypatch.setattr(AccessibilityFilter, "run", untouched)
+        monkeypatch.setattr(Fetcher, "fetch_domain", untouched)
+        with pytest.raises(CrawlError, match=r"week ordinals \[1\] "):
+            study.run(weeks=weeks[1:3])
+        with pytest.raises(CrawlError, match=r"week ordinals \[0, 1\] "):
+            study.run(weeks=weeks[:2])
+        assert study.store.weeks[0].collected == collected
+        assert store_to_bytes(study.store) == before
 
 
 class TestCli:

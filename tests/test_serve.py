@@ -422,6 +422,14 @@ class TestServedArtifacts:
             ServeApp.from_files(store_path, bad)
 
 
+    def test_from_files_rejects_nested_metrics(self, served_run, tmp_path):
+        store_path, _ = served_run
+        nested = tmp_path / "nested-metrics.json"
+        nested.write_bytes(b"[" * 200_000)
+        with pytest.raises(ServeError, match="cannot read crawl metrics"):
+            ServeApp.from_files(store_path, nested)
+
+
 class TestHttpServer:
     @pytest.fixture()
     def server(self, serve_app):
