@@ -5,11 +5,12 @@ Three questions matter for the orchestrator to earn its keep:
 
 * fleet overhead — the queue's durable record writes (fsync + rename
   per transition) must be noise next to the jobs themselves;
-* cross-run cache value — the second crawl of a re-crawl chain reads
-  the first crawl's profile generation, so more than half its profile
-  builds (``profile_from_manifest`` calls; manifest mode renders no
-  page) must be cache hits (the fleet's raison d'être: tick N+1
-  re-observes mostly-unchanged sites);
+* cross-run cache value — the second crawl extends the first crawl's
+  store with the next weeks and reads the first crawl's profile
+  generation, so more than half its profile builds
+  (``profile_from_manifest`` calls; manifest mode renders no page)
+  must be cache hits (most sites are unchanged since tick N's last
+  week);
 * resume cost — re-running a finished fleet (the recovery no-op) must
   be near-free: every job short-circuits on its verified ``DONE.json``.
 
@@ -62,8 +63,8 @@ def test_fleet_cold(benchmark, tmp_path):
 def test_cross_run_profile_cache(benchmark, tmp_path):
     """Hit rate of the second crawl against the first tick's generation.
 
-    The acceptance bar: > 50% of the re-crawl's profile renders come
-    from the cross-run store, not from re-rendering.
+    The acceptance bar: > 50% of the second crawl's profile renders
+    come from the cross-run store, not from re-rendering.
     """
     root = tmp_path / "q"
 
@@ -86,8 +87,8 @@ def test_cross_run_profile_cache(benchmark, tmp_path):
         hit_rate=hit_rate,
     )
     assert hit_rate > 0.5, (
-        f"cross-run profile cache hit rate {hit_rate:.2%} on the re-crawl "
-        f"job; expected > 50%"
+        f"cross-run profile cache hit rate {hit_rate:.2%} on the second "
+        f"crawl job; expected > 50%"
     )
 
 

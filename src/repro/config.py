@@ -387,9 +387,11 @@ class IncrementalConfig:
 
     A second, cross-run layer — the content-addressed
     :class:`~repro.crawler.profilestore.ProfileStore` — lets a fleet of
-    chained runs share built profiles: each run reads the immutable
-    generations of its predecessors and writes the profiles none of
-    them had into its own generation directory, one checksummed
+    chained runs share built profiles.  A beat tick crawls only the
+    weeks after its predecessor's, and most of its sites still serve
+    the pages the predecessor built profiles for.  Each run reads the
+    immutable generations of its predecessors and writes the profiles
+    none of them had into its own generation directory, one checksummed
     segment per crawl shard (manifest mode only; see the module
     docstring for why that keeps canonical metrics deterministic).
 

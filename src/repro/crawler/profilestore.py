@@ -2,10 +2,11 @@
 
 The PR-2 :class:`~repro.crawler.cache.ProfileCache` is per-shard,
 per-run: every new :class:`~repro.core.Study` starts cold even when it
-re-crawls the exact population the previous run just built.  For a
-fleet of chained runs — the orchestrator's re-crawl beat — that throws
-away most of the work: most sites are frozen or slow-moving, so run
-N+1's profiles are overwhelmingly run N's profiles.
+crawls the population the previous run just built.  For a fleet of
+chained runs — the orchestrator's beat, where each tick crawls the
+weeks after the last tick's — that throws away most of the work: most
+sites are frozen or slow-moving, so run N+1's profiles are
+overwhelmingly run N's profiles.
 
 This module persists :class:`~repro.fingerprint.PageProfile` objects
 under content-address keys so they survive the process, with a layout

@@ -464,8 +464,8 @@ class OrchestratorOptions:
         "--ticks",
         type=int,
         metavar="N",
-        help="recurring beats: each tick re-crawls a longer week window "
-        "and chains analyses -> report -> serve-refresh (default: 3)",
+        help="recurring beats: each tick crawls the weeks after the last "
+        "tick's and chains analyses -> report -> serve-refresh (default: 3)",
     )
     weeks_per_tick: int = opt(
         2,

@@ -7,22 +7,27 @@ parameters the jobs derive from, and the chaos schedule.  The queue
 directory stores the plan verbatim in ``queue.json``; re-opening the
 queue with a different plan is refused, never merged.
 
-The beat-style shape: each *tick* of the fleet re-crawls the population
-over a longer week window (weeks ``[0, (tick+1) * weeks_per_tick)``)
-and chains the paper's pipeline behind it::
+The beat-style shape: each *tick* of the fleet grows the store to a
+longer week window (weeks ``[0, (tick+1) * weeks_per_tick)``) and
+chains the paper's pipeline behind it::
 
     crawl-000 ──▶ analyses-000 ──▶ report-000 ──▶ serve-000
-       ┆ (profiles)
+       ┆ (base store, profiles)
     crawl-001 ──▶ analyses-001 ──▶ report-001 ──▶ serve-001
        ┆
     crawl-002 ──▶ ...
 
+A tick's crawl crawls each week once: it extends the freshest earlier
+crawl's store (its *base*) with the weeks after it, so ``crawl-001``
+crawls only weeks ``[w, 2w)`` and writes the store one crawl of
+``[0, 2w)`` would write.
+
 Edges come in two strengths.  A **hard** dependency gates execution:
 ``analyses-001`` consumes ``crawl-001``'s store artifact and degrades
 per the fleet's policy when that crawl dead-letters.  A **soft**
-dependency only orders execution: ``crawl-001`` reads ``crawl-000``'s
-profile generation when it exists (the cross-run cache), but runs fine
-— just colder — when it does not.
+dependency only orders execution: ``crawl-001`` extends ``crawl-000``'s
+store and reads its profile generation when they exist, but runs fine
+— just longer, from week 0 or from an older base — when they do not.
 """
 
 from __future__ import annotations
@@ -35,8 +40,11 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ConfigError
 from ..sweep.spec import SweepPoint
 
-#: Version of the queue-manifest (``queue.json``) schema.
-FLEET_FORMAT = 1
+#: Version of the queue-manifest (``queue.json``) schema.  Format 2
+#: crawls extend their predecessor's store; a format-1 queue, whose
+#: crawls each re-crawled from week 0, is refused when opened (its
+#: crawl checkpoints name other weeks).
+FLEET_FORMAT = 2
 
 #: Job kinds, in per-tick chain order.
 CRAWL = "crawl"
@@ -78,8 +86,9 @@ class JobSpec:
         tick: Which beat of the recurring schedule this job belongs to.
         hard_deps: Jobs whose *artifacts* this job consumes; a degraded
             hard dependency degrades this job per the fleet policy.
-        soft_deps: Jobs that merely order this one (profile-generation
-            warmth); they never degrade it.
+        soft_deps: Jobs that merely order this one (the crawl it may
+            extend, and profile-generation warmth); they never degrade
+            it.
     """
 
     job_id: str
@@ -300,11 +309,12 @@ class FleetPlan:
         return self.sweep_points[tick]
 
     def week_count(self, tick: int) -> int:
-        """Weeks the tick's crawl covers.
+        """Weeks the tick's store covers, from week 0.
 
-        Beat fleets grow the window per tick; sweep fleets crawl the
-        same fixed window at every grid point (the *scenario* varies,
-        not the observation span).
+        Beat fleets grow the window per tick (a tick's crawl job crawls
+        only the weeks after its base's); sweep fleets crawl the same
+        fixed window at every grid point (the *scenario* varies, not
+        the observation span).
         """
         if self.sweep_points:
             return self.weeks_per_tick
@@ -330,9 +340,8 @@ class FleetPlan:
             "fault_spec": self.fault_spec,
             "jobs": [spec.to_dict() for spec in self.jobs],
         }
-        # Emitted only for sweep plans: a beat fleet's manifest (and
-        # therefore its digest) is byte-identical to the pre-sweep
-        # schema, so existing queue directories keep resuming.
+        # Emitted only for sweep plans: a beat fleet's manifest keeps
+        # the pre-sweep schema.
         if self.sweep_points:
             payload["sweep_points"] = [
                 point.to_dict() for point in self.sweep_points

@@ -64,7 +64,7 @@ from ..durable import (
 )
 from ..errors import QueueError
 from ..runtime.faults import FaultPlan
-from .jobs import FleetPlan
+from .jobs import FLEET_FORMAT, FleetPlan
 
 #: Version of the job-record schema.
 RECORD_FORMAT = 1
@@ -277,15 +277,28 @@ class JobQueue:
 
     def _load_manifest(self) -> FleetPlan:
         try:
-            return FleetPlan.from_dict(
-                json.loads(self.manifest_path.read_text())
-            )
-        except Exception as exc:  # noqa: BLE001 - any corruption
+            payload = parse_json(self.manifest_path.read_bytes())
+        except (OSError, ValueError) as exc:
+            raise self._corrupt_manifest(exc) from exc
+        found = payload.get("format") if isinstance(payload, dict) else None
+        if type(found) is int and found != FLEET_FORMAT:
             raise QueueError(
-                f"queue manifest {self.manifest_path} is unreadable "
-                f"({type(exc).__name__}: {exc}); the queue directory is "
-                f"corrupt — start a fresh one"
-            ) from exc
+                f"queue manifest {self.manifest_path} has format {found}; "
+                f"this version reads format {FLEET_FORMAT} only — finish "
+                f"that fleet with the version that wrote it, or point "
+                f"--queue-dir at a fresh directory"
+            )
+        try:
+            return FleetPlan.from_dict(payload)
+        except Exception as exc:  # noqa: BLE001 - any corruption
+            raise self._corrupt_manifest(exc) from exc
+
+    def _corrupt_manifest(self, exc: Exception) -> QueueError:
+        return QueueError(
+            f"queue manifest {self.manifest_path} is unreadable "
+            f"({type(exc).__name__}: {exc}); the queue directory is "
+            f"corrupt — start a fresh one"
+        )
 
     # ------------------------------------------------------------------
     # Records: read, validate, rebuild

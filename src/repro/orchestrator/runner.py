@@ -5,16 +5,21 @@ artifacts are written with :func:`~repro.durable.atomic_write_bytes`,
 so re-running a job (after a retry, a lease loss, or a whole-process
 kill) converges on byte-identical outputs:
 
-* ``crawl`` — a checkpointed :class:`~repro.core.Study` run over the
-  tick's week window.  The run ledger lives in the queue's
+* ``crawl`` — a checkpointed :class:`~repro.core.Study` run that
+  extends the freshest earlier crawl it can trust (its *base*) to the
+  tick's week window: the base's ``store.bin`` is decoded into the
+  Study and only the weeks after it are crawled, each week once across
+  the fleet (with no base, the crawl starts at week 0).  Crawled
+  windows are independent, so the store is byte-identical to one crawl
+  of the whole window.  The run ledger lives in the queue's
   ``checkpoints/<job>/`` directory with ``resume=True``, so a killed
   attempt replays its journal instead of restarting; built profiles
   flow through the cross-run
   :class:`~repro.crawler.profilestore.ProfileStore` (read: every
   predecessor tick's generation, write: this tick's, with the profiles
   none of them had).  Artifacts: ``store.bin``
-  (canonical binary store) + ``metrics.json`` (canonical metrics
-  document).
+  (canonical binary store of the whole window) + ``metrics.json``
+  (canonical metrics document of the weeks this job crawled).
 * ``analyses`` — loads the tick's store artifact and derives the
   paper's headline aggregates (collection series, resource usage,
   vulnerable-share prevalence, vulnerability CDF) into one canonical
@@ -52,8 +57,8 @@ from pathlib import Path
 from typing import Dict, Tuple
 
 from ..config import ScenarioConfig
-from ..durable import atomic_write_bytes
-from ..errors import JobExecutionError
+from ..durable import atomic_write_bytes, quarantine
+from ..errors import CheckpointMismatchError, JobExecutionError
 from .jobs import (
     ANALYSES,
     CRAWL,
@@ -190,8 +195,25 @@ class JobRunner:
             observability=ObservabilityOptions(metrics=True),
         )
         study = Study(config, mode=plan.mode, options=options)
-        weeks = study.config.calendar.weeks[: plan.week_count(spec.tick)]
-        report = study.run(weeks=weeks)
+        calendar = study.config.calendar
+        start, base = 0, None
+        found = self._crawl_base(spec, calendar, study.matcher)
+        if found is not None:
+            study.store, start, base = found
+        weeks = calendar.weeks[start : plan.week_count(spec.tick)]
+        try:
+            report = study.run(weeks=weeks)
+        except CheckpointMismatchError as exc:
+            if [field for field, _, _ in exc.mismatches] != ["week_ordinals"]:
+                raise
+            # The checkpoint extends a base that no longer verifies (its
+            # artifacts were damaged after this crawl began), so its
+            # journal covers other weeks: set it aside and crawl afresh.
+            quarantine(
+                self.queue.checkpoint_dir(spec.job_id),
+                self.queue.quarantine_dir,
+            )
+            report = study.run(weeks=weeks)
 
         art_dir = self.queue.artifact_dir(spec.job_id)
         art_dir.mkdir(parents=True, exist_ok=True)
@@ -205,9 +227,57 @@ class JobRunner:
             artifacts={"store.bin": store_path, "metrics.json": metrics_path},
             extra={
                 "weeks": plan.week_count(spec.tick),
+                "base": base,
                 "degraded_run": report.degraded,
             },
         )
+
+    def _crawl_base(self, spec: JobSpec, calendar, matcher):
+        """``(store, weeks, job id)`` of the crawl ``spec`` extends, or
+        ``None`` when it must start at week 0.
+
+        The base is the freshest earlier crawl whose checksum-verified
+        ``DONE.json`` lists ``store.bin``, records a run that dropped
+        nothing, and whose decoded store holds pages of exactly its
+        first ``weeks`` calendar weeks — so a store that lost a week or
+        a manifest that misstates one is never extended.  Every earlier
+        crawl is terminal before this one runs (soft edges order them),
+        so a resumed attempt finds the same base unless that base's
+        artifacts were damaged in between.
+        """
+        from ..crawler.persistence import load_store
+        from ..errors import StoreError
+
+        target = self.plan.week_count(spec.tick)
+        for tick in range(spec.tick - 1, -1, -1):
+            producer = job_id(CRAWL, tick)
+            manifest = self.queue.read_done_manifest(producer)
+            if (
+                manifest is None
+                or "store.bin" not in manifest["artifacts"]
+                or manifest.get("degraded_run") is not False
+            ):
+                continue
+            weeks = manifest.get("weeks")
+            if type(weeks) is not int or not 0 < weeks < target:
+                continue
+            try:
+                store = load_store(
+                    self.queue.artifact_dir(producer) / "store.bin",
+                    calendar,
+                    matcher,
+                )
+            except StoreError:
+                continue
+            held = sorted(
+                ordinal
+                for ordinal, week in store.weeks.items()
+                if week.collected
+            )
+            if held != list(range(weeks)):
+                continue
+            return store, weeks, producer
+        return None
 
     # ------------------------------------------------------------------
     # analyses

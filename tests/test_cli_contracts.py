@@ -226,6 +226,26 @@ class TestOrchestrateContract:
         assert main([*argv, "--seed", "99"]) == 2
         assert "different fleet" in capsys.readouterr().err
 
+    def test_format_1_queue_exits_2(self, tmp_path):
+        """A queue written when every tick re-crawled from week 0 is
+        refused, not resumed."""
+        from repro.orchestrator import FleetPlan
+
+        queue_dir = tmp_path / "q"
+        queue_dir.mkdir()
+        plan = FleetPlan.build(population=24, seed=7, ticks=2, weeks_per_tick=1)
+        (queue_dir / "queue.json").write_text(
+            json.dumps(dict(plan.to_dict(), format=1), sort_keys=True)
+        )
+        proc = _cli(
+            "orchestrate", "run", "--queue-dir", str(queue_dir), *self._FLAGS
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "format 1" in lines[0]
+
     def test_degraded_but_complete_exits_0_with_stderr_report(
         self, tmp_path, monkeypatch, capsys
     ):

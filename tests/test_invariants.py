@@ -37,6 +37,7 @@ from repro import FaultPlan, ScenarioConfig
 from repro.config import AccessibilityConfig, ExecutionConfig, IncrementalConfig
 from repro.crawler import Crawler, ObservationStore
 from repro.crawler.persistence import (
+    store_from_bytes,
     store_from_dict,
     store_to_bytes,
     store_to_dict,
@@ -612,6 +613,67 @@ class TestBinaryEncodingIdentity:
                 resume=True,
             )
             assert store_to_bytes(resumed) == baseline
+
+        proptest.forall(prop)
+
+
+class TestWindowExtension:
+    """A fleet tick crawls only the weeks after its base's.
+
+    Consecutive week windows, each crawled by a fresh ``Study`` seeded
+    with the decoded store of the window before (as the orchestrator's
+    crawl job extends its base), must end in the bytes of one ``Study``
+    crawling their union: windows are independent, on the direct path
+    and on a checkpointed sharded plan alike.
+    """
+
+    @staticmethod
+    def _study(config, mode, checkpoint_dir=None):
+        from repro import Study
+        from repro.options import DurabilityOptions, ExecutionOptions, RunOptions
+
+        options = RunOptions()
+        if checkpoint_dir is not None:
+            options = RunOptions(
+                execution=ExecutionOptions(workers=2, backend="serial"),
+                durability=DurabilityOptions(
+                    checkpoint_dir=str(checkpoint_dir), resume=True
+                ),
+            )
+        return Study(config, mode=mode, options=options)
+
+    @pytest.mark.parametrize("mode", ["manifest", "full"])
+    def test_extended_windows_equal_one_crawl_of_their_union(
+        self, tmp_path, mode
+    ):
+        def prop(rng, seed):
+            config = ScenarioConfig(population=rng.choice((24, 32)), seed=seed)
+            total = rng.randint(3, 5)
+            weeks = config.calendar.weeks[:total]
+            cuts = sorted(rng.sample(range(1, total), rng.randint(1, 2)))
+            bounds = [0] + cuts + [total]
+            windows = list(zip(bounds, bounds[1:]))
+            whole = self._study(config, mode)
+            whole.run(weeks=weeks)
+            expected = store_to_bytes(whole.store)
+            for checkpointed in (False, True):
+                blob = None
+                for lo, hi in windows:
+                    study = self._study(
+                        config,
+                        mode,
+                        tmp_path / f"{mode}-{seed}-{lo}" if checkpointed else None,
+                    )
+                    if blob is not None:
+                        study.store = store_from_bytes(
+                            blob, study.config.calendar, study.matcher
+                        )
+                    study.run(weeks=weeks[lo:hi])
+                    blob = store_to_bytes(study.store)
+                assert blob == expected, (
+                    f"windows {windows} (checkpointed={checkpointed}) "
+                    f"diverged from one crawl of weeks [0, {total})"
+                )
 
         proptest.forall(prop)
 

@@ -11,6 +11,7 @@ policy, never silently dropped.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -104,7 +105,8 @@ class TestFleetPlan:
         assert analyses.hard_deps == ("crawl-001",)
         serve = plan.job("serve-002")
         assert serve.hard_deps == ("crawl-002", "report-002")
-        # Ticks chain through soft (profile-warmth) edges only.
+        # Ticks chain through soft edges only: a crawl extends the
+        # freshest earlier store it can trust, and runs without one.
         assert plan.job("crawl-002").soft_deps == ("crawl-001",)
         assert plan.job("crawl-000").soft_deps == ()
 
@@ -302,8 +304,8 @@ class TestFleetExecution:
         counters = metrics["execution"]["counters"]
         hits = counters.get("profile_store.hits", 0)
         misses = counters.get("profile_store.misses", 0)
-        # Tick 1 re-crawls tick 0's window plus new weeks: more than
-        # half its profile renders must come from tick 0's generation.
+        # Tick 1 crawls only the weeks after tick 0's: more than half
+        # its profile renders must come from tick 0's generation.
         assert hits / (hits + misses) > 0.5
         assert _profile_store_counters(root) == _PROFILE_STORE_COUNTERS
 
@@ -346,11 +348,11 @@ class TestFleetExecution:
 # ----------------------------------------------------------------------
 # Dead-letter + degrade policies
 # ----------------------------------------------------------------------
-def _failing_execute(fail_job_id):
+def _failing_execute(*fail_job_ids):
     original = JobRunner.execute
 
     def execute(self, spec):
-        if spec.job_id == fail_job_id:
+        if spec.job_id in fail_job_ids:
             raise JobExecutionError(spec.job_id, "induced permanent failure")
         return original(self, spec)
 
@@ -472,25 +474,23 @@ os._exit(0)  # only reached if the abort never fired
 """ % (_POPULATION, _SEED, _CHAOS)
 
 
-def _kill_fleet(root: Path, limit: int, backend: str = "none") -> None:
+def _run_killed(script: str, *args: str) -> None:
+    """Run ``script`` in a fresh interpreter; it must hard-abort."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _FLEET_KILL_SCRIPT,
-            str(limit),
-            str(root),
-            backend,
-        ],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 137, proc.stderr
+
+
+def _kill_fleet(root: Path, limit: int, backend: str = "none") -> None:
+    _run_killed(_FLEET_KILL_SCRIPT, str(limit), str(root), backend)
 
 
 def _strip_crawl_telemetry(jobs: dict) -> dict:
@@ -554,3 +554,167 @@ class TestKillMidFleet:
         assert ours["states"] == serial["states"]
         assert ours["retries"] == serial["retries"]
         assert _profile_store_counters(root) == _PROFILE_STORE_COUNTERS
+
+
+# ----------------------------------------------------------------------
+# Each crawl extends its predecessor's store
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _one_shot_store(weeks: int) -> bytes:
+    """The store of one direct crawl of the first ``weeks`` weeks."""
+    from repro import ScenarioConfig, Study
+    from repro.crawler.persistence import store_to_bytes
+
+    study = Study(ScenarioConfig(population=_POPULATION, seed=_SEED))
+    study.run(weeks=study.config.calendar.weeks[:weeks])
+    return store_to_bytes(study.store)
+
+
+def _crawled_weeks(queue: JobQueue, job: str) -> int:
+    """Weeks the crawl job itself crawled (its metrics' planner grid)."""
+    metrics = json.loads(
+        (queue.artifact_dir(job) / "metrics.json").read_text()
+    )
+    return metrics["planner"]["grid"]["weeks"]
+
+
+def _store_bytes(queue: JobQueue, job: str) -> bytes:
+    return (queue.artifact_dir(job) / "store.bin").read_bytes()
+
+
+_CRAWL_KILL_SCRIPT = """
+import os, sys
+
+from repro.runtime.ledger import RunLedger
+
+original = RunLedger.journal
+
+def journal(self, *args):
+    size = original(self, *args)
+    if self.root.name == "crawl-001":
+        os._exit(137)  # hard abort after crawl-001's first shard
+    return size
+
+RunLedger.journal = journal
+
+from repro.orchestrator import FleetPlan, Orchestrator
+
+plan = FleetPlan.build(
+    population=%d, seed=%d, ticks=2, weeks_per_tick=2,
+    backend="serial", workers=2,
+)
+Orchestrator(sys.argv[1], plan).run()
+os._exit(0)  # only reached if the abort never fired
+""" % (_POPULATION, _SEED)
+
+
+class TestCrawlExtension:
+    """Tick ``t`` crawls only the weeks after its base's, and its store
+    is byte-identical to one crawl of the whole window."""
+
+    def test_each_tick_crawls_only_its_new_weeks(self, clean_fleet):
+        _, _, orchestrator = clean_fleet
+        queue = orchestrator.queue
+        first = queue.read_done_manifest("crawl-000")
+        second = queue.read_done_manifest("crawl-001")
+        assert (first["base"], first["weeks"]) == (None, 2)
+        assert (second["base"], second["weeks"]) == ("crawl-000", 4)
+        assert _crawled_weeks(queue, "crawl-000") == 2
+        assert _crawled_weeks(queue, "crawl-001") == 2
+        assert _store_bytes(queue, "crawl-001") == _one_shot_store(4)
+
+    @pytest.mark.parametrize(
+        "failed, base, crawled",
+        [
+            (("crawl-001",), "crawl-000", 4),
+            (("crawl-000", "crawl-001"), None, 6),
+        ],
+    )
+    def test_dead_lettered_predecessor_is_passed_over(
+        self, tmp_path, monkeypatch, failed, base, crawled
+    ):
+        monkeypatch.setattr(JobRunner, "execute", _failing_execute(*failed))
+        orchestrator = Orchestrator(
+            tmp_path / "q", _plan(ticks=3, max_job_retries=0)
+        )
+        records = orchestrator.run()
+        assert all(records[job].state == DEAD_LETTER for job in failed)
+        assert records["crawl-002"].state == DONE
+        queue = orchestrator.queue
+        assert queue.read_done_manifest("crawl-002")["base"] == base
+        assert _crawled_weeks(queue, "crawl-002") == crawled
+        assert _store_bytes(queue, "crawl-002") == _one_shot_store(6)
+
+    @pytest.mark.parametrize("damage", ["degraded", "weeks", "store"])
+    def test_untrusted_predecessor_is_never_a_base(self, tmp_path, damage):
+        plan = _plan()
+        queue = JobQueue(tmp_path / "q")
+        queue.open(plan)
+        runner = JobRunner(queue, plan)
+        first = runner.execute(plan.job("crawl-000"))
+        extra = dict(first.extra)
+        if damage == "degraded":
+            extra["degraded_run"] = True
+        elif damage == "weeks":
+            extra["weeks"] = 1  # the store holds pages of 2 weeks
+        else:
+            # A checksummed 1-week store under a manifest naming 2.
+            first.artifacts["store.bin"].write_bytes(_one_shot_store(1))
+        queue.write_done_manifest("crawl-000", 0, first.artifacts, extra)
+
+        second = runner.execute(plan.job("crawl-001"))
+        assert second.extra["base"] is None
+        assert _crawled_weeks(queue, "crawl-001") == 4
+        assert _store_bytes(queue, "crawl-001") == _one_shot_store(4)
+
+    @pytest.mark.parametrize("damage_base", [False, True])
+    def test_killed_extension_resumes_on_the_same_base(
+        self, tmp_path, damage_base
+    ):
+        root = tmp_path / "q"
+        _run_killed(_CRAWL_KILL_SCRIPT, str(root))
+        checkpoint = root / "checkpoints" / "crawl-001"
+        assert len(list((checkpoint / "journal").glob("shard-*.wal"))) == 1
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        assert manifest["week_ordinals"] == [2, 3]
+        assert len(manifest["shard_plan"]) > 1
+        if damage_base:
+            # The base stops verifying before the resume: the journal
+            # of weeks 2-3 cannot be replayed onto a crawl from week 0.
+            store = root / "artifacts" / "crawl-000" / "store.bin"
+            store.write_bytes(store.read_bytes()[:-1] + b"\0")
+
+        records = Orchestrator(
+            root, _plan(backend="serial", workers=2)
+        ).run()
+        assert records["crawl-001"].state == DONE
+        # A different base would name other weeks than the journal's
+        # manifest, and the ledger would refuse the resume.
+        assert records["crawl-001"].attempt == 0
+        queue = JobQueue(root)
+        done = queue.read_done_manifest("crawl-001")
+        quarantined = root / "quarantine" / "crawl-001" / "manifest.json"
+        if damage_base:
+            assert done["base"] is None
+            assert _crawled_weeks(queue, "crawl-001") == 4
+            assert json.loads(quarantined.read_text())["week_ordinals"] == [2, 3]
+        else:
+            assert all(r.state == DONE for r in records.values())
+            assert done["base"] == "crawl-000"
+            assert _crawled_weeks(queue, "crawl-001") == 2
+            assert not quarantined.exists()
+        assert _store_bytes(queue, "crawl-001") == _one_shot_store(4)
+
+
+class TestQueueFormat:
+    def test_format_1_queue_is_refused(self, tmp_path):
+        root = tmp_path / "q"
+        plan = _plan()
+        queue = JobQueue(root)
+        queue.open(plan)
+        queue.manifest_path.write_text(
+            json.dumps(dict(plan.to_dict(), format=1), sort_keys=True)
+        )
+        with pytest.raises(QueueError, match="format 1") as excinfo:
+            JobQueue(root).open(plan)
+        assert "format 2" in str(excinfo.value)

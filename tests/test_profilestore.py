@@ -2,9 +2,12 @@
 
 * **Pinned counters.**  Three chained manifest-mode Studies of one
   dataset — tick *t* reads the generations of ticks *t-1 .. 0* and
-  writes its own, as the orchestrator's re-crawl beat does — record
+  writes its own, as the orchestrator's crawl jobs do — record
   exactly these ``profile_store`` counters and save exactly these
   stores, on the direct serial path and on multi-shard plans alike.
+  Each tick here crawls from week 0 (an orchestrator tick crawls only
+  the weeks after its base's), so every tick looks up profiles its
+  predecessors built.
   They were recorded with the one-file-per-profile store this layout
   replaced.
 * **Layout.**  A generation holds only the profiles no predecessor
