@@ -45,8 +45,10 @@ import json
 import struct
 import zlib
 from array import array
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from ..durable import atomic_write_bytes, parse_json
 from ..errors import StoreError
@@ -91,6 +93,19 @@ _WEEK_COLUMN_DOMAINS = (
 assert tuple(name for name, _ in _WEEK_COLUMN_DOMAINS) == _COLUMN_FIELDS
 
 _MODES = (MatchMode.CVE, MatchMode.TVV)
+
+#: A week's fixed head: ordinal, ``collected``, the scalar fields, then
+#: ``vulnerable_sites`` per mode.
+_WEEK_HEAD = struct.Struct("<IQ" + "Q" * (len(_SCALAR_FIELDS) + len(_MODES)))
+#: One ``(id, count)`` entry of an id-keyed column.
+_PAIR = struct.Struct("<IQ")
+#: The tail of a week whose 17 columns (the id columns, then each mode's
+#: vuln-count histogram and advisory column) are all empty: one zero
+#: entry count per column.  Such weeks — every week the store has not
+#: crawled — are written and recognised as this one constant.
+_EMPTY_WEEK_TAIL = bytes(
+    _U32.size * (len(_WEEK_COLUMN_DOMAINS) + 2 * len(_MODES))
+)
 
 
 def _encode_mode_dict(mapping):
@@ -293,6 +308,11 @@ class _Writer:
         self.u32(len(encoded))
         self.buf += encoded
 
+    def pairs(self, entries: List[Tuple[int, int]]) -> None:
+        """A column: its entry count, then one :data:`_PAIR` per entry."""
+        self.u32(len(entries))
+        self.buf += b"".join(starmap(_PAIR.pack, entries))
+
 
 class _Reader:
     __slots__ = ("data", "pos", "section")
@@ -325,6 +345,20 @@ class _Reader:
                 f"section {self.section} holds invalid UTF-8"
             ) from exc
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self._take(layout.size))
+
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """A column written by :meth:`_Writer.pairs`."""
+        return _PAIR.iter_unpack(self._take(self.u32() * _PAIR.size))
+
+    def skip(self, expected: bytes) -> bool:
+        """Consume ``expected`` if the data continues with it."""
+        if not self.data.startswith(expected, self.pos):
+            return False
+        self.pos += len(expected)
+        return True
+
     def expect_end(self) -> None:
         if self.pos != len(self.data):
             raise _Corrupt(
@@ -352,17 +386,13 @@ def _canonical_maps(store: ObservationStore) -> Dict[str, List[int]]:
 
 
 def _encode_id_column(writer: _Writer, counter, canon: List[int]) -> None:
-    entries = sorted((canon[i], count) for i, count in counter.items_ids())
-    writer.u32(len(entries))
-    for key_id, count in entries:
-        writer.u32(key_id)
-        writer.u64(count)
+    writer.pairs(sorted((canon[i], count) for i, count in counter.items_ids()))
 
 
 def _decode_id_column(reader: _Reader, counter) -> None:
-    for _ in range(reader.u32()):
-        key_id = reader.u32()
-        counter.inc_id(key_id, reader.u64())
+    inc_id = counter.inc_id
+    for key_id, count in reader.pairs():
+        inc_id(key_id, count)
 
 
 def _encode_delta_ranks(writer: _Writer, ranks: List[int]) -> None:
@@ -467,27 +497,34 @@ def _decode_symbols_section(data: bytes, store: ObservationStore) -> None:
 
 def _encode_weeks_section(store: ObservationStore, maps) -> bytes:
     writer = _Writer()
+    buf = writer.buf
     ordered = store.ordered_weeks()
     writer.u32(len(ordered))
+    columns_of = attrgetter(*_COLUMN_FIELDS)
+    scalars_of = attrgetter(*_SCALAR_FIELDS)
+    column_canons = [maps[domain] for _, domain in _WEEK_COLUMN_DOMAINS]
+    advisory_canon = maps["advisory"]
     for agg in ordered:
-        writer.u32(agg.week.ordinal)
-        writer.u64(agg.collected)
-        for name in _SCALAR_FIELDS:
-            writer.u64(getattr(agg, name))
-        for mode in _MODES:
-            writer.u64(agg.vulnerable_sites[mode])
-        for name, domain_name in _WEEK_COLUMN_DOMAINS:
-            _encode_id_column(writer, getattr(agg, name), maps[domain_name])
-        for mode in _MODES:
-            hist = agg.vuln_count_hist[mode]
-            entries = list(hist.items())
-            writer.u32(len(entries))
-            for key, count in entries:
-                writer.u32(key)
-                writer.u64(count)
-        for mode in _MODES:
-            _encode_id_column(writer, agg.advisory_sites[mode], maps["advisory"])
-    return bytes(writer.buf)
+        vulnerable = agg.vulnerable_sites
+        buf += _WEEK_HEAD.pack(
+            agg.week.ordinal,
+            agg.collected,
+            *scalars_of(agg),
+            *[vulnerable[mode] for mode in _MODES],
+        )
+        columns = columns_of(agg)
+        hists = [agg.vuln_count_hist[mode] for mode in _MODES]
+        advisories = [agg.advisory_sites[mode] for mode in _MODES]
+        if not (any(columns) or any(hists) or any(advisories)):
+            buf += _EMPTY_WEEK_TAIL
+            continue
+        for column, canon in zip(columns, column_canons):
+            _encode_id_column(writer, column, canon)
+        for hist in hists:
+            writer.pairs(list(hist.items()))
+        for advisory in advisories:
+            _encode_id_column(writer, advisory, advisory_canon)
+    return bytes(buf)
 
 
 def _decode_weeks_section(data: bytes, store: ObservationStore) -> None:
@@ -497,23 +534,26 @@ def _decode_weeks_section(data: bytes, store: ObservationStore) -> None:
         raise _Corrupt(
             f"store has {count} weeks but the calendar has {len(store.weeks)}"
         )
+    scalars = len(_SCALAR_FIELDS)
     for _ in range(count):
-        ordinal = reader.u32()
-        agg = store.weeks.get(ordinal)
+        head = reader.unpack(_WEEK_HEAD)
+        agg = store.weeks.get(head[0])
         if agg is None:
-            raise _Corrupt(f"week ordinal {ordinal} not in calendar")
-        agg.collected = reader.u64()
-        for name in _SCALAR_FIELDS:
-            setattr(agg, name, reader.u64())
-        for mode in _MODES:
-            agg.vulnerable_sites[mode] = reader.u64()
-        for name, _domain_name in _WEEK_COLUMN_DOMAINS:
+            raise _Corrupt(f"week ordinal {head[0]} not in calendar")
+        agg.collected = head[1]
+        for name, value in zip(_SCALAR_FIELDS, head[2 : 2 + scalars]):
+            setattr(agg, name, value)
+        vulnerable = agg.vulnerable_sites
+        for mode, value in zip(_MODES, head[2 + scalars :]):
+            vulnerable[mode] = value
+        if reader.skip(_EMPTY_WEEK_TAIL):
+            continue
+        for name in _COLUMN_FIELDS:
             _decode_id_column(reader, getattr(agg, name))
         for mode in _MODES:
-            hist = agg.vuln_count_hist[mode]
-            for _ in range(reader.u32()):
-                key = reader.u32()
-                hist.inc(key, reader.u64())
+            inc = agg.vuln_count_hist[mode].inc
+            for key, value in reader.pairs():
+                inc(key, value)
         for mode in _MODES:
             _decode_id_column(reader, agg.advisory_sites[mode])
     reader.expect_end()

@@ -118,12 +118,15 @@ class Orchestrator:
         self.instruments.inc("orchestrator.leases_reclaimed", scan.reclaimed)
         records = scan.records
         by_id = self.plan.by_id()
+        # One runner for the whole run: it hands each crawl's in-memory
+        # store to the jobs that read it (a new run starts empty).
+        runner = JobRunner(self.queue, self.plan)
 
         while True:
             spec = self._next_runnable(records, by_id)
             if spec is None:
                 break
-            self._run_job(spec, records[spec.job_id])
+            self._run_job(runner, spec, records[spec.job_id])
 
         # Post-run integrity rescan: if injected chaos tore a job's
         # *final* record write, repair it now — otherwise an
@@ -176,7 +179,9 @@ class Orchestrator:
         return None
 
     # ------------------------------------------------------------------
-    def _run_job(self, spec: JobSpec, record: JobRecord) -> None:
+    def _run_job(
+        self, runner: JobRunner, spec: JobSpec, record: JobRecord
+    ) -> None:
         """One attempt of one job: lease → run → done/failed."""
         queue, clock = self.queue, self.clock
 
@@ -195,7 +200,6 @@ class Orchestrator:
 
         queue.lease(record, self.owner, clock.now)
         queue.mark_running(record, clock.now)
-        runner = JobRunner(queue, self.plan)
         try:
             result = runner.execute(spec)
             queue.heartbeat(record, clock.now)

@@ -20,10 +20,10 @@ kill) converges on byte-identical outputs:
   none of them had).  Artifacts: ``store.bin``
   (canonical binary store of the whole window) + ``metrics.json``
   (canonical metrics document of the weeks this job crawled).
-* ``analyses`` — loads the tick's store artifact and derives the
-  paper's headline aggregates (collection series, resource usage,
-  vulnerable-share prevalence, vulnerability CDF) into one canonical
-  JSON document, ``analyses.json``.
+* ``analyses`` — reads the tick's store (see *Store hand-over* below)
+  and derives the paper's headline aggregates (collection series,
+  resource usage, vulnerable-share prevalence, vulnerability CDF) into
+  one canonical JSON document, ``analyses.json``.
 * ``report`` — renders ``analyses.json`` into the human-readable
   ``report.txt``.
 * ``serve`` — the serve-refresh hook: builds a
@@ -46,19 +46,39 @@ Input resolution implements the ``run-stale`` degrade policy: when a
 job's primary input tick has no valid ``DONE.json``, the runner walks
 back to the freshest earlier tick that does (recording the substitution
 in its own manifest), and raises a typed
-:class:`~repro.errors.JobExecutionError` when none exists.
+:class:`~repro.errors.JobExecutionError` when none exists.  Every
+``analyses.json`` a job reads is untrusted input: it is parsed with
+:func:`~repro.durable.parse_json` and shape-checked before use.
+
+Store hand-over: one runner serves every job of one
+:meth:`~repro.orchestrator.Orchestrator.run`, and keeps the in-memory
+store of the last crawl (or sweep-crawl) it finished in a one-slot
+hand-over, keyed by that job's id and the sha256 of the ``store.bin``
+bytes it wrote.  A job that reads a store uses the slot only when the
+producer's checksum-verified ``DONE.json`` records that same sha256 —
+then the file holds exactly that store's encoding — and decodes the
+file otherwise.  Readers borrow the slot store; the crawl that extends
+it takes it, emptying the slot before it crawls, so a failed extension
+never leaves a half-extended store behind.  A new process starts with
+an empty slot.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import ScenarioConfig
-from ..durable import atomic_write_bytes, quarantine
-from ..errors import CheckpointMismatchError, JobExecutionError
+from ..durable import atomic_write_bytes, parse_json, quarantine
+from ..errors import (
+    CheckpointMismatchError,
+    JobExecutionError,
+    ReproError,
+    StoreError,
+)
 from .jobs import (
     ANALYSES,
     CRAWL,
@@ -78,6 +98,54 @@ from .queue import JobQueue
 #: contract.
 SERVE_SNAPSHOT_PATHS = ("/report", "/weeks/0/overview", "/libraries/jquery/trend")
 
+#: Version of the ``analyses.json`` document (beat and sweep alike).
+ANALYSES_FORMAT = 2
+
+#: The fields of ``document["analyses"]`` that the report job and the
+#: sweep fold read: ``(analysis, field, container, numbers only)``.
+_HEADLINE_FIELDS = (
+    ("collection-series", "dates", list, False),
+    ("collection-series", "collected", list, True),
+    ("prevalence", "average_share", dict, True),
+    ("vulnerability-cdf", "mean", dict, True),
+    ("resource-usage", "averages", dict, True),
+)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_analyses(path: Path) -> dict:
+    """Parse an ``analyses.json`` and check the shape its readers need.
+
+    Raises:
+        OSError: The file cannot be read.
+        ValueError: The bytes are not JSON (nesting too deep included),
+            or the document is not a format-2 analyses document holding
+            every :data:`_HEADLINE_FIELDS` entry with the right types.
+    """
+    document = parse_json(path.read_bytes())
+    if (
+        not isinstance(document, dict)
+        or document.get("format") != ANALYSES_FORMAT
+        or not isinstance(document.get("pack"), str)
+        or not isinstance(document.get("analyses"), dict)
+    ):
+        raise ValueError(f"not a format-{ANALYSES_FORMAT} analyses document")
+    analyses = document["analyses"]
+    for name, field, container, numbers in _HEADLINE_FIELDS:
+        entry = analyses.get(name)
+        value = entry.get(field) if isinstance(entry, dict) else None
+        if not isinstance(value, container):
+            raise ValueError(
+                f"analyses document has no {container.__name__} {name}.{field}"
+            )
+        values = value.values() if container is dict else value
+        if numbers and not all(map(_is_number, values)):
+            raise ValueError(f"analyses document's {name}.{field} is not numeric")
+    return document
+
 
 @dataclasses.dataclass
 class JobResult:
@@ -94,11 +162,19 @@ class JobResult:
 
 
 class JobRunner:
-    """Executes fleet jobs against one queue directory."""
+    """Executes fleet jobs against one queue directory.
+
+    Holds the store hand-over slot (see the module docstring), so one
+    runner should serve one orchestrator run; a fresh runner starts with
+    an empty slot and reads every store from disk.
+    """
 
     def __init__(self, queue: JobQueue, plan: FleetPlan) -> None:
         self.queue = queue
         self.plan = plan
+        #: ``(job id, sha256 of its store.bin, ObservationStore)`` of
+        #: the last crawl this runner finished, or ``None``.
+        self._handover: Optional[Tuple[str, str, object]] = None
 
     # ------------------------------------------------------------------
     def execute(self, spec: JobSpec) -> JobResult:
@@ -130,8 +206,9 @@ class JobRunner:
     # ------------------------------------------------------------------
     def _resolve_input(
         self, spec: JobSpec, kind: str, artifact: str
-    ) -> Tuple[Path, str]:
-        """``(path, producing job id)`` of the freshest valid input.
+    ) -> Tuple[str, dict]:
+        """``(producing job id, its DONE.json)`` of the freshest valid
+        input.
 
         Prefers the job's own tick; under the ``run-stale`` policy a
         missing/invalid input falls back to earlier ticks.  Validity
@@ -144,7 +221,7 @@ class JobRunner:
             producer = job_id(kind, tick)
             manifest = self.queue.read_done_manifest(producer)
             if manifest is not None and artifact in manifest["artifacts"]:
-                return self.queue.artifact_dir(producer) / artifact, producer
+                return producer, manifest
         raise JobExecutionError(
             spec.job_id,
             f"no valid {artifact} from any {kind} job at tick "
@@ -152,11 +229,49 @@ class JobRunner:
         )
 
     # ------------------------------------------------------------------
+    # Stores: the hand-over slot, else a decode from disk
+    # ------------------------------------------------------------------
+    def _store(self, producer: str, manifest: dict, calendar, matcher):
+        """The store ``producer`` wrote, as its verified ``manifest``
+        records it.
+
+        The slot's store when the slot holds ``producer``'s store under
+        the sha256 ``manifest`` records for ``store.bin``; otherwise the
+        file decoded with ``calendar`` and ``matcher``.  A slot store is
+        borrowed: only the crawl that extends it may change it, after
+        emptying the slot.
+
+        Raises:
+            StoreError: The file does not decode.
+        """
+        from ..crawler.persistence import load_store
+
+        slot = self._handover
+        if slot is not None and slot[:2] == (
+            producer,
+            manifest["artifacts"]["store.bin"]["sha256"],
+        ):
+            return slot[2]
+        return load_store(
+            self.queue.artifact_dir(producer) / "store.bin", calendar, matcher
+        )
+
+    def _input_store(self, spec: JobSpec, producer: str, manifest: dict, context):
+        """:meth:`_store` for a job that cannot run without it."""
+        try:
+            return self._store(
+                producer, manifest, context.config.calendar, context.matcher
+            )
+        except ReproError as exc:
+            raise JobExecutionError(
+                spec.job_id, f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    # ------------------------------------------------------------------
     # crawl
     # ------------------------------------------------------------------
-    def _run_crawl(self, spec: JobSpec) -> JobResult:
-        from ..core.study import Study
-        from ..crawler.persistence import store_to_bytes
+    def _crawl_options(self, spec: JobSpec):
+        """Run options of a crawl job: checkpointed, resumable, metered."""
         from ..options import (
             DurabilityOptions,
             ExecutionOptions,
@@ -164,6 +279,42 @@ class JobRunner:
             ResilienceOptions,
             RunOptions,
         )
+
+        return RunOptions(
+            execution=ExecutionOptions(
+                workers=self.plan.workers, backend=self.plan.backend
+            ),
+            resilience=ResilienceOptions(fault_plan=self.queue.fault_plan),
+            durability=DurabilityOptions(
+                checkpoint_dir=str(self.queue.checkpoint_dir(spec.job_id)),
+                resume=True,
+            ),
+            observability=ObservabilityOptions(metrics=True),
+        )
+
+    def _write_crawl(self, spec: JobSpec, study, report) -> Dict[str, Path]:
+        """Write a crawl's ``store.bin`` and ``metrics.json``, and hand
+        its store over to the jobs that read it."""
+        from ..crawler.persistence import store_to_bytes
+
+        art_dir = self.queue.artifact_dir(spec.job_id)
+        art_dir.mkdir(parents=True, exist_ok=True)
+        store_path = art_dir / "store.bin"
+        metrics_path = art_dir / "metrics.json"
+        blob = store_to_bytes(study.store)
+        atomic_write_bytes(store_path, blob)
+        atomic_write_bytes(
+            metrics_path, report.metrics.canonical_json().encode("utf-8")
+        )
+        self._handover = (
+            spec.job_id,
+            hashlib.sha256(blob).hexdigest(),
+            study.store,
+        )
+        return {"store.bin": store_path, "metrics.json": metrics_path}
+
+    def _run_crawl(self, spec: JobSpec) -> JobResult:
+        from ..core.study import Study
 
         plan = self.plan
         config = ScenarioConfig(population=plan.population, seed=plan.seed)
@@ -183,21 +334,13 @@ class JobRunner:
                 ),
             ),
         )
-        options = RunOptions(
-            execution=ExecutionOptions(
-                workers=plan.workers, backend=plan.backend
-            ),
-            resilience=ResilienceOptions(fault_plan=self.queue.fault_plan),
-            durability=DurabilityOptions(
-                checkpoint_dir=str(self.queue.checkpoint_dir(spec.job_id)),
-                resume=True,
-            ),
-            observability=ObservabilityOptions(metrics=True),
-        )
-        study = Study(config, mode=plan.mode, options=options)
+        study = Study(config, mode=plan.mode, options=self._crawl_options(spec))
         calendar = study.config.calendar
         start, base = 0, None
         found = self._crawl_base(spec, calendar, study.matcher)
+        # The crawl extends its base in place: take it out of the slot,
+        # so a run that fails leaves no half-extended store to borrow.
+        self._handover = None
         if found is not None:
             study.store, start, base = found
         weeks = calendar.weeks[start : plan.week_count(spec.tick)]
@@ -214,17 +357,8 @@ class JobRunner:
                 self.queue.quarantine_dir,
             )
             report = study.run(weeks=weeks)
-
-        art_dir = self.queue.artifact_dir(spec.job_id)
-        art_dir.mkdir(parents=True, exist_ok=True)
-        store_path = art_dir / "store.bin"
-        metrics_path = art_dir / "metrics.json"
-        atomic_write_bytes(store_path, store_to_bytes(study.store))
-        atomic_write_bytes(
-            metrics_path, report.metrics.canonical_json().encode("utf-8")
-        )
         return JobResult(
-            artifacts={"store.bin": store_path, "metrics.json": metrics_path},
+            artifacts=self._write_crawl(spec, study, report),
             extra={
                 "weeks": plan.week_count(spec.tick),
                 "base": base,
@@ -238,16 +372,13 @@ class JobRunner:
 
         The base is the freshest earlier crawl whose checksum-verified
         ``DONE.json`` lists ``store.bin``, records a run that dropped
-        nothing, and whose decoded store holds pages of exactly its
-        first ``weeks`` calendar weeks — so a store that lost a week or
-        a manifest that misstates one is never extended.  Every earlier
-        crawl is terminal before this one runs (soft edges order them),
-        so a resumed attempt finds the same base unless that base's
-        artifacts were damaged in between.
+        nothing, and whose store (:meth:`_store`) holds pages of exactly
+        its first ``weeks`` calendar weeks — so a store that lost a week
+        or a manifest that misstates one is never extended.  Every
+        earlier crawl is terminal before this one runs (soft edges order
+        them), so a resumed attempt finds the same base unless that
+        base's artifacts were damaged in between.
         """
-        from ..crawler.persistence import load_store
-        from ..errors import StoreError
-
         target = self.plan.week_count(spec.tick)
         for tick in range(spec.tick - 1, -1, -1):
             producer = job_id(CRAWL, tick)
@@ -262,11 +393,7 @@ class JobRunner:
             if type(weeks) is not int or not 0 < weeks < target:
                 continue
             try:
-                store = load_store(
-                    self.queue.artifact_dir(producer) / "store.bin",
-                    calendar,
-                    matcher,
-                )
+                store = self._store(producer, manifest, calendar, matcher)
             except StoreError:
                 continue
             held = sorted(
@@ -310,21 +437,6 @@ class JobRunner:
             matcher=VersionMatcher(database),
         )
 
-    def _load_store(self, path: Path, job: str, context=None):
-        from ..crawler.persistence import load_store
-        from ..errors import ReproError
-
-        if context is None:
-            context = self._analysis_context(self._scenario_config(0))
-        try:
-            return load_store(
-                path, context.config.calendar, context.matcher
-            )
-        except ReproError as exc:
-            raise JobExecutionError(
-                job, f"{type(exc).__name__}: {exc}"
-            ) from exc
-
     def _analyses_document(self, spec: JobSpec, store, context) -> dict:
         """The canonical analyses payload: registered headline analyses.
 
@@ -335,16 +447,16 @@ class JobRunner:
         from ..analysis.api import HEADLINE_ANALYSES, run_analyses
 
         return {
-            "format": 2,
+            "format": ANALYSES_FORMAT,
             "job_id": spec.job_id,
             "pack": context.config.pack.describe(),
             "analyses": run_analyses(store, context, HEADLINE_ANALYSES),
         }
 
     def _run_analyses(self, spec: JobSpec) -> JobResult:
-        store_path, producer = self._resolve_input(spec, CRAWL, "store.bin")
+        producer, manifest = self._resolve_input(spec, CRAWL, "store.bin")
         context = self._analysis_context(self._scenario_config(spec.tick))
-        store = self._load_store(store_path, spec.job_id, context)
+        store = self._input_store(spec, producer, manifest, context)
         document = self._analyses_document(spec, store, context)
         document["source"] = producer
         art_dir = self.queue.artifact_dir(spec.job_id)
@@ -361,9 +473,11 @@ class JobRunner:
     # report
     # ------------------------------------------------------------------
     def _run_report(self, spec: JobSpec) -> JobResult:
-        path, producer = self._resolve_input(spec, ANALYSES, "analyses.json")
+        producer, _ = self._resolve_input(spec, ANALYSES, "analyses.json")
         try:
-            document = json.loads(path.read_text())
+            document = _read_analyses(
+                self.queue.artifact_dir(producer) / "analyses.json"
+            )
         except (OSError, ValueError) as exc:
             raise JobExecutionError(
                 spec.job_id, f"{type(exc).__name__}: {exc}"
@@ -398,8 +512,9 @@ class JobRunner:
     def _run_serve(self, spec: JobSpec) -> JobResult:
         from ..serve.app import ServeApp
 
-        store_path, producer = self._resolve_input(spec, CRAWL, "store.bin")
-        store = self._load_store(store_path, spec.job_id)
+        producer, manifest = self._resolve_input(spec, CRAWL, "store.bin")
+        context = self._analysis_context(self._scenario_config(0))
+        store = self._input_store(spec, producer, manifest, context)
         app = ServeApp(store, precompute=False)
         art_dir = self.queue.artifact_dir(spec.job_id) / "serve"
         art_dir.mkdir(parents=True, exist_ok=True)
@@ -432,14 +547,6 @@ class JobRunner:
     # ------------------------------------------------------------------
     def _run_sweep_crawl(self, spec: JobSpec) -> JobResult:
         from ..core.study import Study
-        from ..crawler.persistence import store_to_bytes
-        from ..options import (
-            DurabilityOptions,
-            ExecutionOptions,
-            ObservabilityOptions,
-            ResilienceOptions,
-            RunOptions,
-        )
 
         plan = self.plan
         point = plan.sweep_point(spec.tick)
@@ -449,31 +556,14 @@ class JobRunner:
         # cross-point profile generations — every point is a different
         # dataset, so there is no warmth to share.
         config = point.config(plan.population, plan.seed)
-        options = RunOptions(
-            execution=ExecutionOptions(
-                workers=plan.workers, backend=plan.backend
-            ),
-            resilience=ResilienceOptions(fault_plan=self.queue.fault_plan),
-            durability=DurabilityOptions(
-                checkpoint_dir=str(self.queue.checkpoint_dir(spec.job_id)),
-                resume=True,
-            ),
-            observability=ObservabilityOptions(metrics=True),
-        )
-        study = Study(config, mode=plan.mode, options=options)
+        study = Study(config, mode=plan.mode, options=self._crawl_options(spec))
+        # The previous point's analyses ran before this crawl: free its
+        # store rather than hold two while this one is crawled.
+        self._handover = None
         weeks = study.config.calendar.weeks[: plan.week_count(spec.tick)]
         report = study.run(weeks=weeks)
-
-        art_dir = self.queue.artifact_dir(spec.job_id)
-        art_dir.mkdir(parents=True, exist_ok=True)
-        store_path = art_dir / "store.bin"
-        metrics_path = art_dir / "metrics.json"
-        atomic_write_bytes(store_path, store_to_bytes(study.store))
-        atomic_write_bytes(
-            metrics_path, report.metrics.canonical_json().encode("utf-8")
-        )
         return JobResult(
-            artifacts={"store.bin": store_path, "metrics.json": metrics_path},
+            artifacts=self._write_crawl(spec, study, report),
             extra={
                 "point": point.describe(),
                 "scenario_digest": point.scenario_digest(
@@ -498,9 +588,8 @@ class JobRunner:
                 f"no valid store.bin from {producer} (sweep points never "
                 f"substitute another point's dataset)",
             )
-        store_path = self.queue.artifact_dir(producer) / "store.bin"
         context = self._analysis_context(point.config(plan.population, plan.seed))
-        store = self._load_store(store_path, spec.job_id, context)
+        store = self._input_store(spec, producer, manifest, context)
         document = self._analyses_document(spec, store, context)
         document["source"] = producer
         document["point"] = point.describe()
@@ -536,9 +625,9 @@ class JobRunner:
                 continue
             path = self.queue.artifact_dir(producer) / "analyses.json"
             try:
-                documents.append(json.loads(path.read_text()))
+                documents.append(_read_analyses(path))
             except (OSError, ValueError):
-                documents.append(None)
+                documents.append(None)  # a malformed point is missing
         if not any(document is not None for document in documents):
             raise JobExecutionError(
                 spec.job_id,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.crawler.persistence import (
 from repro.crawler.symbols import SymbolTable
 from repro.errors import StoreError
 from repro.fingerprint.profile import LibraryDetection, PageProfile
-from repro.vulndb import VersionMatcher, default_database
+from repro.vulndb import MatchMode, VersionMatcher, default_database
 from repro.webgen import WebEcosystem
 from repro.webgen.domains import Domain, Reachability
 
@@ -338,6 +339,113 @@ class TestCorruptionMatrix:
         path.write_bytes(b"\x00\x01" * 64)
         with pytest.raises(StoreError):
             load_store(path, calendar)
+
+
+def _with_week_section(blob: bytes, length: int) -> bytes:
+    """``blob`` with its WEEK section cut to its first ``length`` raw
+    bytes, re-framed with matching lengths and a valid trailer."""
+    out = bytearray(blob[:6])
+    offset = 6
+    for _ in range(3):
+        tag, compressed_len, _raw_len = struct.unpack_from("<4sII", blob, offset)
+        offset += 12
+        raw = zlib.decompress(blob[offset : offset + compressed_len])
+        offset += compressed_len
+        if tag == b"WEEK":
+            raw = raw[:length]
+        compressed = zlib.compress(raw)
+        out += struct.pack("<4sII", tag, len(compressed), len(raw)) + compressed
+    out += b"SHA2"
+    return bytes(out + hashlib.sha256(bytes(out)).digest())
+
+
+def _week_section(blob: bytes) -> bytes:
+    offset = 6
+    while True:
+        tag, compressed_len, _ = struct.unpack_from("<4sII", blob, offset)
+        offset += 12
+        if tag == b"WEEK":
+            return zlib.decompress(blob[offset : offset + compressed_len])
+        offset += compressed_len
+
+
+#: A week's fixed head in the WEEK section: u32 ordinal, then u64
+#: collected, 11 scalar fields and 2 vulnerable-site counts.
+_HEAD = 4 + 8 * 14
+#: An all-empty week's tail: a zero u32 entry count for each of its 17
+#: columns.
+_EMPTY_TAIL = 4 * 17
+
+
+class TestEmptyWeeks:
+    """Weeks with no column entries: the same bytes, a faster path."""
+
+    @pytest.mark.parametrize("mode", ["manifest", "full"])
+    def test_non_contiguous_weeks_roundtrip(self, mode):
+        config = ScenarioConfig(population=20, seed=3)
+        ecosystem = WebEcosystem(config)
+        weeks = config.calendar.weeks
+        crawler = Crawler(ecosystem, mode=mode, apply_filter=False)
+        crawler.crawl_block(
+            [weeks[0], weeks[5], weeks[9]], list(ecosystem.population)
+        )
+        store = crawler.store
+        held = [o for o, week in sorted(store.weeks.items()) if week.collected]
+        assert held == [0, 5, 9]
+        blob = store_to_bytes(store)
+        loaded = store_from_bytes(blob, config.calendar)
+        assert store_to_dict(loaded) == store_to_dict(store)
+        assert store_to_bytes(loaded) == blob
+
+    def test_emptiness_is_read_from_the_columns(self):
+        """A week with column entries but no collected page keeps them."""
+        config = ScenarioConfig(population=10, seed=1)
+        store = _store(config)
+        week = store.weeks[3]
+        week.resource_counts.inc_id(store.symbols.token.intern("script"))
+        week.advisory_sites[MatchMode.TVV].inc_id(
+            store.symbols.advisory.intern("CVE-2020-11022")
+        )
+        blob = store_to_bytes(store)
+        loaded = store_from_bytes(blob, config.calendar)
+        assert loaded.weeks[3].collected == 0
+        assert store_to_dict(loaded) == store_to_dict(store)
+        assert store_to_bytes(loaded) == blob
+
+    @pytest.fixture(scope="class")
+    def week_one(self):
+        """A store holding week 1 only: week 0 is empty."""
+        config = ScenarioConfig(population=20, seed=3)
+        ecosystem = WebEcosystem(config)
+        crawler = Crawler(ecosystem, mode="manifest", apply_filter=False)
+        crawler.crawl_block(
+            [config.calendar.weeks[1]], list(ecosystem.population)
+        )
+        return store_to_bytes(crawler.store), config.calendar
+
+    def test_empty_week_is_a_zero_tail(self, week_one):
+        blob, calendar = week_one
+        raw = _week_section(blob)
+        assert struct.unpack_from("<I", raw, 4)[0] == 0  # week 0's ordinal
+        assert raw[4 + _HEAD : 4 + _HEAD + _EMPTY_TAIL] == bytes(_EMPTY_TAIL)
+        # Re-framing alone changes nothing the decoder sees.
+        reframed = _with_week_section(blob, len(raw))
+        assert store_to_bytes(store_from_bytes(reframed, calendar)) == blob
+
+    def test_truncation_inside_the_zero_tail(self, week_one):
+        blob, calendar = week_one
+        cut = 4 + _HEAD + _EMPTY_TAIL // 2
+        with pytest.raises(StoreError, match="truncated"):
+            store_from_bytes(_with_week_section(blob, cut), calendar)
+
+    def test_truncation_inside_a_columns_pairs(self, week_one):
+        blob, calendar = week_one
+        raw = _week_section(blob)
+        column = 4 + 2 * _HEAD + _EMPTY_TAIL  # week 1's first column
+        assert struct.unpack_from("<I", raw, column)[0] >= 2
+        for cut in (column + 4 + 6, column + 4 + 12):  # mid-pair, between pairs
+            with pytest.raises(StoreError, match="truncated"):
+                store_from_bytes(_with_week_section(blob, cut), calendar)
 
 
 class TestJsonInterchange:

@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ConfigError, JobExecutionError, QueueError
+from repro.crawler import persistence
+from repro.errors import ConfigError, CrawlError, JobExecutionError, QueueError
 from repro.orchestrator import (
     DEAD_LETTER,
     DONE,
@@ -68,6 +69,21 @@ def _profile_store_counters(root: Path) -> dict:
             values["profile_store.misses"],
         )
     return counters
+
+
+def _count_calls(monkeypatch, *targets) -> dict:
+    """Wrap each ``(owner, name)`` so its calls are counted by name."""
+    calls = {}
+    for owner, name in targets:
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def _artifact_digests(root: Path, include_metrics: bool = True) -> dict:
@@ -309,12 +325,23 @@ class TestFleetExecution:
         assert hits / (hits + misses) > 0.5
         assert _profile_store_counters(root) == _PROFILE_STORE_COUNTERS
 
-    def test_rerun_over_finished_queue_is_idempotent(self, clean_fleet):
+    def test_rerun_over_finished_queue_is_idempotent(
+        self, clean_fleet, monkeypatch
+    ):
         root, _, _ = clean_fleet
         before = _artifact_digests(root)
         metrics_before = (root / "fleet-metrics.json").read_bytes()
+        calls = _count_calls(
+            monkeypatch,
+            (JobRunner, "execute"),
+            (persistence, "load_store"),
+            (persistence, "store_from_bytes"),
+        )
         records = Orchestrator(root, _plan()).run()
         assert all(r.state == DONE for r in records.values())
+        # Every job is proven done by its DONE.json: nothing executes,
+        # and no store is decoded.
+        assert calls == {"execute": 0, "load_store": 0, "store_from_bytes": 0}
         assert _artifact_digests(root) == before
         assert (root / "fleet-metrics.json").read_bytes() == metrics_before
 
@@ -704,6 +731,137 @@ class TestCrawlExtension:
             assert _crawled_weeks(queue, "crawl-001") == 2
             assert not quarantined.exists()
         assert _store_bytes(queue, "crawl-001") == _one_shot_store(4)
+
+
+# ----------------------------------------------------------------------
+# One runner per run hands each crawl's store to the jobs that read it
+# ----------------------------------------------------------------------
+def _execute_done(runner: JobRunner, job: str) -> bytes:
+    """Run ``job`` on ``runner``, record its ``DONE.json``, and return
+    the bytes of its first artifact."""
+    result = runner.execute(runner.plan.job(job))
+    runner.queue.write_done_manifest(job, 0, result.artifacts, result.extra)
+    return next(iter(result.artifacts.values())).read_bytes()
+
+
+def _fresh_runner_execute(monkeypatch) -> None:
+    """Make every job run on a new runner, whose slot is empty."""
+    original = JobRunner.execute
+
+    def execute(self, spec):
+        return original(JobRunner(self.queue, self.plan), spec)
+
+    monkeypatch.setattr(JobRunner, "execute", execute)
+
+
+class TestStoreHandover:
+    @pytest.fixture
+    def runner(self, tmp_path):
+        plan = _plan()
+        queue = JobQueue(tmp_path / "q")
+        queue.open(plan)
+        return JobRunner(queue, plan)
+
+    def test_one_process_beat_decodes_no_store_file(
+        self, tmp_path, monkeypatch
+    ):
+        plan = _plan(ticks=3)
+        calls = _count_calls(monkeypatch, (persistence, "load_store"))
+        records = Orchestrator(tmp_path / "shared", plan).run()
+        assert all(r.state == DONE for r in records.values())
+        assert calls["load_store"] == 0
+        # The same plan job by job, each on a fresh runner: every store
+        # read decodes the file (3 analyses, 3 serve, 2 crawl bases),
+        # and every artifact is byte-identical.
+        _fresh_runner_execute(monkeypatch)
+        records = Orchestrator(tmp_path / "fresh", plan).run()
+        assert all(r.state == DONE for r in records.values())
+        assert calls["load_store"] == 8
+        assert _artifact_digests(tmp_path / "shared") == _artifact_digests(
+            tmp_path / "fresh"
+        )
+        assert (tmp_path / "shared" / "fleet-metrics.json").read_bytes() == (
+            tmp_path / "fresh" / "fleet-metrics.json"
+        ).read_bytes()
+
+    def test_extension_takes_the_store_out_of_the_slot(self, runner):
+        _execute_done(runner, "crawl-000")
+        _execute_done(runner, "crawl-001")
+        # crawl-001 extended crawl-000's store in memory; analyses-000
+        # must still see crawl-000's two weeks.
+        shared = _execute_done(runner, "analyses-000")
+        fresh = _execute_done(JobRunner(runner.queue, runner.plan), "analyses-000")
+        assert shared == fresh
+
+    def test_failed_extension_leaves_the_slot_empty(self, runner, monkeypatch):
+        from repro.core.study import Study
+
+        _execute_done(runner, "crawl-000")
+        original = Study.run
+
+        def extend_then_fail(self, weeks=None):
+            original(self, weeks=weeks)  # the base store is extended
+            raise CrawlError("induced failure after the extension")
+
+        monkeypatch.setattr(Study, "run", extend_then_fail)
+        with pytest.raises(CrawlError):
+            runner.execute(runner.plan.job("crawl-001"))
+        monkeypatch.undo()
+        assert runner._handover is None
+        shared = _execute_done(runner, "analyses-000")
+        fresh = _execute_done(JobRunner(runner.queue, runner.plan), "analyses-000")
+        assert shared == fresh
+
+    def test_rewritten_store_is_read_from_disk(self, runner, monkeypatch):
+        queue = runner.queue
+        result = runner.execute(runner.plan.job("crawl-000"))
+        queue.write_done_manifest("crawl-000", 0, result.artifacts, result.extra)
+        from_slot = _execute_done(runner, "analyses-000")
+        # Another valid store under the same job, with its DONE.json
+        # re-recorded: the slot's sha256 no longer matches.
+        result.artifacts["store.bin"].write_bytes(_one_shot_store(1))
+        queue.write_done_manifest("crawl-000", 0, result.artifacts, result.extra)
+        calls = _count_calls(monkeypatch, (persistence, "load_store"))
+        rewritten = _execute_done(runner, "analyses-000")
+        assert calls["load_store"] == 1
+        assert rewritten != from_slot
+        fresh = _execute_done(JobRunner(runner.queue, runner.plan), "analyses-000")
+        assert rewritten == fresh
+
+
+# ----------------------------------------------------------------------
+# Untrusted analyses.json: the report job
+# ----------------------------------------------------------------------
+#: Checksum-verified but malformed ``analyses.json`` bodies.
+_MALFORMED_ANALYSES = {
+    "empty-object": b"{}",
+    "format-only": b'{"format": 2}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+class TestMalformedAnalysesInput:
+    @pytest.mark.parametrize(
+        "body", _MALFORMED_ANALYSES.values(), ids=list(_MALFORMED_ANALYSES)
+    )
+    def test_report_input_dead_letters_and_degrades(
+        self, tmp_path, monkeypatch, body
+    ):
+        original = JobRunner.execute
+
+        def execute(self, spec):
+            result = original(self, spec)
+            if spec.kind == "analyses":
+                result.artifacts["analyses.json"].write_bytes(body)
+            return result
+
+        monkeypatch.setattr(JobRunner, "execute", execute)
+        records = Orchestrator(tmp_path / "q", _plan(ticks=1)).run()
+        report = records["report-000"]
+        assert report.state == DEAD_LETTER
+        assert report.error.startswith("JobExecutionError")
+        assert records["analyses-000"].state == DONE
+        assert records["serve-000"].state == SKIPPED
 
 
 class TestQueueFormat:

@@ -9,6 +9,7 @@ kill followed by a resume.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ import pytest
 
 import repro
 from repro.errors import ConfigError
-from repro.orchestrator import FleetPlan, Orchestrator
+from repro.orchestrator import FleetPlan, JobQueue, Orchestrator
+from repro.orchestrator.runner import JobRunner
 from repro.sweep import (
     SWEEP_DOCUMENT_NAME,
     SweepPoint,
@@ -185,14 +187,17 @@ class TestFold:
 # ----------------------------------------------------------------------
 # End-to-end: run, convergence, kill/resume
 # ----------------------------------------------------------------------
-def _run_sweep(root: Path) -> dict:
-    plan = FleetPlan.build_sweep(
+def _sweep_plan() -> FleetPlan:
+    return FleetPlan.build_sweep(
         SweepSpec.parse(_GRID).points,
         population=_POPULATION,
         seed=_SEED,
         weeks=_WEEKS,
     )
-    records = Orchestrator(root, plan).run()
+
+
+def _run_sweep(root: Path) -> dict:
+    records = Orchestrator(root, _sweep_plan()).run()
     assert all(record.state == "done" for record in records.values())
     return records
 
@@ -294,6 +299,41 @@ class TestSweepEndToEnd:
         assert (root / SWEEP_DOCUMENT_NAME).read_bytes() == (
             clean_sweep / SWEEP_DOCUMENT_NAME
         ).read_bytes()
+
+    def test_rerun_over_finished_sweep_executes_nothing(
+        self, clean_sweep, monkeypatch
+    ):
+        before = (clean_sweep / SWEEP_DOCUMENT_NAME).read_bytes()
+        executed = []
+        original = JobRunner.execute
+
+        def execute(self, spec):
+            executed.append(spec.job_id)
+            return original(self, spec)
+
+        monkeypatch.setattr(JobRunner, "execute", execute)
+        _run_sweep(clean_sweep)
+        assert executed == []
+        assert (clean_sweep / SWEEP_DOCUMENT_NAME).read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"{}", b'{"format": 2}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["empty-object", "format-only", "deep-nesting"],
+    )
+    def test_malformed_point_analyses_count_as_missing(
+        self, clean_sweep, tmp_path, body
+    ):
+        root = tmp_path / "q"
+        shutil.copytree(clean_sweep, root)
+        queue = JobQueue(root)
+        # A checksum-verified but malformed analyses.json for point 1.
+        path = queue.artifact_dir("sweep-analyses-001") / "analyses.json"
+        path.write_bytes(body)
+        queue.write_done_manifest("sweep-analyses-001", 0, {"analyses.json": path})
+        plan = _sweep_plan()
+        result = JobRunner(queue, plan).execute(plan.job("sweep-fold-000"))
+        assert result.extra["missing"] == ["bundled-deps(share=0.5)"]
 
     def test_resume_with_a_different_grid_is_refused(self, clean_sweep):
         from repro.errors import QueueError
