@@ -16,35 +16,35 @@ Quickstart::
     study.run()
     for line in study.results().summary_lines():
         print(line)
+
+The names below load on first use (:mod:`repro._lazy`), so importing
+one submodule loads only what that submodule imports.  The read side
+(the store codec, the analyses, ``repro.serve``, ``repro.obs``) never
+loads the generator, numpy or the crawl engine that ``Study`` needs;
+DESIGN.md's "Import layers" section has the rule.
 """
 
-from .config import (
-    AccessibilityConfig,
-    BehaviorMix,
-    ExecutionConfig,
-    FlashConfig,
-    IncrementalConfig,
-    ObservabilityConfig,
-    PlatformConfig,
-    ScenarioConfig,
-    SecurityHygieneConfig,
-    default_scenario,
-    small_scenario,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".advisor.scanner": "SiteScanner",
+        ".config": "AccessibilityConfig BehaviorMix ExecutionConfig "
+        "FlashConfig IncrementalConfig ObservabilityConfig PlatformConfig "
+        "ScenarioConfig SecurityHygieneConfig default_scenario small_scenario",
+        ".core.results": "StudyResults",
+        ".core.study": "Study",
+        ".errors": "ReproError",
+        ".obs.instruments": "Instruments",
+        ".options": "DurabilityOptions ExecutionOptions ObservabilityOptions "
+        "ResilienceOptions RunOptions",
+        ".runtime.faults": "FaultPlan",
+        ".timeline": "StudyCalendar Week default_calendar",
+        ".vulndb.matcher": "MatchMode",
+        ".vulndb.store": "default_database",
+    },
 )
-from .advisor import SiteScanner
-from .core import Study, StudyResults
-from .errors import ReproError
-from .obs import Instruments
-from .options import (
-    DurabilityOptions,
-    ExecutionOptions,
-    ObservabilityOptions,
-    ResilienceOptions,
-    RunOptions,
-)
-from .runtime.faults import FaultPlan
-from .timeline import StudyCalendar, Week, default_calendar
-from .vulndb import MatchMode, default_database
 
 __version__ = "1.0.0"
 

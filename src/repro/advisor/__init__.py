@@ -24,9 +24,21 @@ Example::
     report = scanner.scan_html(html, "https://example.com/")
     for finding in report.findings:
         print(finding.severity.name, finding.title, finding.remediation)
+
+The names below load on first use (:mod:`repro._lazy`).
+:mod:`.findings` (with :data:`~.findings.ATTACK_SEVERITY`) is what the
+serving layer reads; it loads neither the scanner's fingerprint engine
+nor the PoC lab.
 """
 
-from .findings import Finding, ScanReport, Severity
-from .scanner import SiteScanner
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".findings": "Finding ScanReport Severity",
+        ".scanner": "SiteScanner",
+    },
+)
 
 __all__ = ["SiteScanner", "Finding", "ScanReport", "Severity"]

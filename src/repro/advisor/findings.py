@@ -6,6 +6,8 @@ import dataclasses
 import enum
 from typing import Dict, List, Optional, Tuple
 
+from ..vulndb import AttackType
+
 
 class Severity(enum.IntEnum):
     """Ordered severity scale (higher = worse)."""
@@ -15,6 +17,22 @@ class Severity(enum.IntEnum):
     MEDIUM = 2
     HIGH = 3
     CRITICAL = 4
+
+
+#: Attack class -> finding severity; shared with the serving layer's
+#: trajectory-based domain scans so both report identical severities.
+ATTACK_SEVERITY = {
+    AttackType.XSS: Severity.HIGH,
+    AttackType.ARBITRARY_CODE_INJECTION: Severity.CRITICAL,
+    AttackType.PROTOTYPE_POLLUTION: Severity.HIGH,
+    AttackType.SQL_INJECTION: Severity.CRITICAL,
+    AttackType.PRIVILEGE_ESCALATION: Severity.CRITICAL,
+    AttackType.MEMORY_CORRUPTION: Severity.CRITICAL,
+    AttackType.REDOS: Severity.MEDIUM,
+    AttackType.RESOURCE_EXHAUSTION: Severity.MEDIUM,
+    AttackType.MISSING_AUTHORIZATION: Severity.HIGH,
+    AttackType.OTHER: Severity.MEDIUM,
+}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,7 +29,6 @@ from ..semver import builtin_catalogs, parse_version
 from ..errors import VersionError
 from ..vulndb import (
     Advisory,
-    AttackType,
     MatchMode,
     VersionMatcher,
     VulnerabilityDatabase,
@@ -37,22 +36,7 @@ from ..vulndb import (
 )
 from ..vulndb.flash_data import FLASH_END_OF_LIFE
 from ..webgen.libraries import library_profiles
-from .findings import Finding, ScanReport, Severity
-
-#: Attack class -> finding severity; shared with the serving layer's
-#: trajectory-based domain scans so both report identical severities.
-ATTACK_SEVERITY = {
-    AttackType.XSS: Severity.HIGH,
-    AttackType.ARBITRARY_CODE_INJECTION: Severity.CRITICAL,
-    AttackType.PROTOTYPE_POLLUTION: Severity.HIGH,
-    AttackType.SQL_INJECTION: Severity.CRITICAL,
-    AttackType.PRIVILEGE_ESCALATION: Severity.CRITICAL,
-    AttackType.MEMORY_CORRUPTION: Severity.CRITICAL,
-    AttackType.REDOS: Severity.MEDIUM,
-    AttackType.RESOURCE_EXHAUSTION: Severity.MEDIUM,
-    AttackType.MISSING_AUTHORIZATION: Severity.HIGH,
-    AttackType.OTHER: Severity.MEDIUM,
-}
+from .findings import ATTACK_SEVERITY, Finding, ScanReport, Severity
 
 
 class SiteScanner:

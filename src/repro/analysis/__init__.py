@@ -16,7 +16,9 @@ Module → paper-section map:
 * :mod:`.updates` — Section 7, Figures 6/7/15, RQ2
 * :mod:`.flash` — Section 8, Figures 8/11, Table 3, RQ4
 * :mod:`.wordpress` — appendix, Figure 9, Table 4
-* :mod:`.integrity_check` — Section 9 validity experiment
+* :mod:`.integrity_check` — Section 9 validity experiment (not loaded
+  here: it builds an ecosystem, so it belongs to the write side; import
+  it by name)
 """
 
 from . import (
@@ -24,7 +26,6 @@ from . import (
     dominant,
     external,
     flash,
-    integrity_check,
     landscape,
     overview,
     updates,
@@ -60,5 +61,4 @@ __all__ = [
     "updates",
     "flash",
     "wordpress",
-    "integrity_check",
 ]

@@ -8,13 +8,28 @@ of the last month), fingerprint the survivors, and aggregate into an
 
 Public API: :class:`Fetcher`, :class:`Crawler`, :class:`CrawlReport`,
 :class:`ObservationStore`, :class:`AccessibilityFilter`.
+
+The package splits in two.  The store codec (:mod:`.store`,
+:mod:`.columns`, :mod:`.symbols`, :mod:`.persistence`) is the read
+side: it imports no generator and no fingerprint engine.  The crawl
+engine (:mod:`.crawl`, :mod:`.fetch`, :mod:`.filtering`,
+:mod:`.profilestore`) is the write side.  The names below load on
+first use (:mod:`repro._lazy`), so importing the codec does not load
+the engine.
 """
 
-from .fetch import FetchResult, Fetcher
-from .store import ObservationStore, WeekAggregate
-from .filtering import AccessibilityFilter
-from .cache import ProfileCache, site_state_key
-from .crawl import Crawler, CrawlReport
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".cache": "ProfileCache site_state_key",
+        ".crawl": "Crawler CrawlReport",
+        ".fetch": "FetchResult Fetcher",
+        ".filtering": "AccessibilityFilter",
+        ".store": "ObservationStore WeekAggregate",
+    },
+)
 
 __all__ = [
     "Fetcher",

@@ -33,7 +33,12 @@ from ..fingerprint import (
     ScriptAccess,
     default_cdn_catalog,
 )
+from ..runtime.backends import describe_backend, get_backend
+from ..runtime.dispatch import backoff_delay, dispatch_shards
 from ..runtime.faults import FaultPlan
+from ..runtime.ledger import JournalingRunner, RunLedger, RunManifest
+from ..runtime.sharding import CostModel, plan_shards
+from ..runtime.worker import ShardTask, shard_coverage_key
 from ..timeline import Week
 from ..vulndb import VersionMatcher, default_database
 from ..webgen.domains import Domain, Reachability
@@ -352,7 +357,6 @@ class Crawler:
         import hashlib
 
         from ..durable import parse_json
-        from ..runtime.sharding import CostModel
 
         try:
             with open(path, "rb") as handle:
@@ -435,8 +439,6 @@ class Crawler:
                 if retained is None or d.name in retained
             ]
 
-            from ..runtime import plan_shards
-
             execution = self.execution
             cost_model = None
             self._plan_provenance = ("uniform", "none")
@@ -476,8 +478,6 @@ class Crawler:
             # Mirror the worker path's shard accounting exactly, so a
             # direct serial run exports the identical canonical metrics
             # document a one-shard dispatched run would.
-            from ..runtime.worker import shard_coverage_key
-
             instruments.event(
                 "shard",
                 status="ok",
@@ -680,14 +680,6 @@ class Crawler:
         error lines (which name the live backend, so they stay out of
         the metrics object).
         """
-        from ..runtime import (
-            ShardTask,
-            backoff_delay,
-            describe_backend,
-            dispatch_shards,
-            get_backend,
-        )
-        from ..runtime.worker import shard_coverage_key
         from .persistence import (
             BINARY_FORMAT_VERSION,
             store_from_bytes,
@@ -702,8 +694,6 @@ class Crawler:
 
         ledger = scan = None
         if self.checkpoint_dir is not None:
-            from ..runtime.ledger import RunLedger, RunManifest
-
             ledger = RunLedger(self.checkpoint_dir)
             plan_source, plan_from_digest = self._plan_provenance
             manifest = RunManifest.build(
@@ -770,8 +760,6 @@ class Crawler:
 
         run_task = None
         if ledger is not None:
-            from ..runtime.ledger import JournalingRunner
-
             run_task = JournalingRunner(ledger.root)
 
         backend = get_backend(backend_name, workers)

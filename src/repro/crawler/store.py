@@ -26,13 +26,11 @@ per detection answers both.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..errors import StoreError
-from ..fingerprint import PageProfile
 from ..timeline import StudyCalendar, Week
 from ..vulndb import MatchMode, VersionMatcher
-from ..webgen.domains import Domain
 from .columns import (
     ColumnCounter,
     FlashSpans,
@@ -44,6 +42,10 @@ from .columns import (
     SiteSets,
 )
 from .symbols import SymbolTable
+
+if TYPE_CHECKING:  # the write side's types: the codec loads no generator
+    from ..fingerprint import PageProfile
+    from ..webgen.domains import Domain
 
 _CVE = MatchMode.CVE
 _TVV = MatchMode.TVV

@@ -72,6 +72,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..config import ScenarioConfig
+from ..core.study import Study
 from ..durable import atomic_write_bytes, parse_json, quarantine
 from ..errors import (
     CheckpointMismatchError,
@@ -314,8 +315,6 @@ class JobRunner:
         return {"store.bin": store_path, "metrics.json": metrics_path}
 
     def _run_crawl(self, spec: JobSpec) -> JobResult:
-        from ..core.study import Study
-
         plan = self.plan
         config = ScenarioConfig(population=plan.population, seed=plan.seed)
         # Cross-run profile generations: read every predecessor tick's
@@ -546,8 +545,6 @@ class JobRunner:
     # sweep: per-point crawl -> per-point analyses -> cross-point fold
     # ------------------------------------------------------------------
     def _run_sweep_crawl(self, spec: JobSpec) -> JobResult:
-        from ..core.study import Study
-
         plan = self.plan
         point = plan.sweep_point(spec.tick)
         # The point's config *is* the dataset identity: the pack

@@ -28,32 +28,27 @@ every worker count produce bit-identical aggregates — parallelism is an
 execution detail, never an observable one.  With a fault plan active the
 same holds for the degraded result: identical drop sets, retry counts,
 and stores per (seed, plan).
+
+The names below load on first use (:mod:`repro._lazy`), so importing
+:mod:`.faults` alone (as :mod:`repro.options` does) loads neither the
+worker nor the generator it builds ecosystems with.
 """
 
-from .backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    describe_backend,
-    get_backend,
-)
-from .dispatch import (
-    BACKOFF_BASE,
-    BACKOFF_CAP,
-    DispatchResult,
-    ShardFailure,
-    SimulatedClock,
-    backoff_delay,
-    dispatch_shards,
-)
-from .faults import FaultPlan
-from .ledger import JournalingRunner, LedgerScan, RunLedger, RunManifest
-from .sharding import CostModel, Shard, plan_shards
-from .worker import (
-    ShardTask,
-    execute_shard,
-    execute_shard_safely,
-    shard_coverage_key,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".backends": "ExecutionBackend ProcessBackend SerialBackend "
+        "describe_backend get_backend",
+        ".dispatch": "BACKOFF_BASE BACKOFF_CAP DispatchResult ShardFailure "
+        "SimulatedClock backoff_delay dispatch_shards",
+        ".faults": "FaultPlan",
+        ".ledger": "JournalingRunner LedgerScan RunLedger RunManifest",
+        ".sharding": "CostModel Shard plan_shards",
+        ".worker": "ShardTask execute_shard execute_shard_safely "
+        "shard_coverage_key",
+    },
 )
 
 __all__ = [

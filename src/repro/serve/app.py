@@ -42,8 +42,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..advisor.scanner import ATTACK_SEVERITY
-from ..advisor.findings import Severity
+from ..advisor.findings import ATTACK_SEVERITY, Severity
 from ..analysis import cve_accuracy, external, overview, updates, vulnerable
 from ..analysis import flash as flash_analysis
 from ..durable import parse_json
@@ -111,6 +110,22 @@ def simulated_cost_us(status: int, cache_verdict: str, body_len: int) -> int:
     if status == 304:  # no body was encoded or copied
         return base // 2
     return base + body_len // per
+
+
+def _ascii_int(raw: str) -> Optional[int]:
+    """``raw`` as an integer if it is ASCII digits only, else None.
+
+    Every numeric request parameter goes through this one check.
+    ``str.isdigit`` also accepts superscripts and other scripts' digits
+    (``"²"`` fails ``int``, ``"١"`` reads as 1), and ``int`` also
+    accepts ``"1_0"``, ``"+1"`` and surrounding blanks.
+    """
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    try:
+        return int(raw)
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        return None
 
 
 def _rank_tier(rank: int) -> str:
@@ -566,9 +581,9 @@ class ServeApp:
 
     def _endpoint_week(self, params, args) -> dict:
         raw = params["ordinal"]
-        if not raw.isdigit():
+        ordinal = _ascii_int(raw)
+        if ordinal is None:
             raise NotFound(f"no such week: {raw!r}")
-        ordinal = int(raw)
         agg = self.store.weeks.get(ordinal)
         if agg is None:
             raise NotFound(
@@ -607,9 +622,8 @@ class ServeApp:
             raise NotFound(f"library never observed: {library!r}")
         top = self.top_versions
         if "top" in args:
-            try:
-                top = int(args["top"])
-            except ValueError:
+            top = _ascii_int(args["top"])
+            if top is None:
                 raise BadRequest(
                     f"top must be an integer, got {args['top']!r}"
                 )
@@ -828,11 +842,15 @@ class ServeApp:
     def _parse_rank(raw: str) -> Optional[int]:
         """Rank from a domain path param: bare digits or a site name.
 
-        Generated hostnames embed the rank (``site0000017.example.com``),
-        so both ``/domains/17/scan`` and the full hostname resolve.
+        Generated hostnames are ``site``, the rank in exactly seven
+        digits, then the TLD (``site0000017.com``), so both
+        ``/domains/17/scan`` and the full hostname resolve.  A name
+        whose seven digits run on into more (``site0000001999``) names
+        no site.
         """
-        if raw.isdigit():
-            return int(raw)
-        if raw.startswith("site") and raw[4:11].isdigit():
-            return int(raw[4:11])
+        if not raw.startswith("site"):
+            return _ascii_int(raw)
+        digits, rest = raw[4:11], raw[11:]
+        if len(digits) == 7 and (not rest or rest.startswith(".")):
+            return _ascii_int(digits)
         return None

@@ -12,12 +12,23 @@ Public API: :class:`WebEcosystem` (build from a
 :class:`SiteManifest` objects per (domain, week), renders landing-page
 HTML, and wires every domain plus the CDN hosts onto a
 :class:`~repro.netsim.VirtualNetwork`.
+
+The names below load on first use (:mod:`repro._lazy`).  The modules
+that draw random values import numpy; :mod:`.libraries`, whose library
+tables the analyses read, does not.
 """
 
-from .domains import Domain, DomainPopulation, Reachability
-from .libraries import LibraryProfile, library_profiles, RESOURCE_TYPE_SHARES
-from .site import LibraryInclusion, SiteManifest, FlashUsage
-from .ecosystem import WebEcosystem
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".domains": "Domain DomainPopulation Reachability",
+        ".ecosystem": "WebEcosystem",
+        ".libraries": "LibraryProfile RESOURCE_TYPE_SHARES library_profiles",
+        ".site": "FlashUsage LibraryInclusion SiteManifest",
+    },
+)
 
 __all__ = [
     "Domain",

@@ -34,6 +34,7 @@ from repro.serve import (
     make_server,
 )
 from repro.serve.caching import CACHE_EXPIRED, CACHE_HIT, CACHE_MISS
+from repro.serve.loadgen import response_digest
 from repro.vulndb import MatchMode
 
 from conftest import SERVE_MIX_SEED
@@ -201,10 +202,21 @@ class TestErrors:
     def test_unknown_path(self, app):
         self.assert_error(app.get("/no-such-endpoint"), 404, "no such endpoint")
 
-    def test_unknown_domain(self, app):
-        self.assert_error(
-            app.get("/domains/9999999/scan"), 404, "never observed"
-        )
+    def test_unknown_domain(self, app, store):
+        rank = sorted(store.observed_domains)[0]
+        for target in (
+            "/domains/9999999/scan",
+            # Not ASCII digits: a superscript two (int() rejects it) and
+            # an Arabic-Indic one (int() reads it as 1).
+            "/domains/%C2%B2/scan",
+            "/domains/%D9%A1/scan",
+            "/domains/site%C2%B2/scan",
+            # Seven digits then more digits: no generated name.
+            f"/domains/site{rank:07d}999/scan",
+            # More digits than int() converts.
+            "/domains/" + "1" * 5000 + "/scan",
+        ):
+            self.assert_error(app.get(target), 404, "never observed")
 
     def test_unknown_cve(self, app):
         self.assert_error(app.get("/cves/CVE-0000-00000"), 404, "advisory")
@@ -218,6 +230,9 @@ class TestErrors:
         beyond = len(store.calendar.weeks) + 5
         self.assert_error(app.get(f"/weeks/{beyond}/overview"), 404, "week")
         self.assert_error(app.get("/weeks/later/overview"), 404, "week")
+        self.assert_error(app.get("/weeks/%C2%B2/overview"), 404, "week")
+        self.assert_error(app.get("/weeks/%D9%A1/overview"), 404, "week")
+        self.assert_error(app.get(f"/weeks/{'1' * 5000}/overview"), 404, "week")
 
     def test_crawl_metrics_absent(self, app):
         self.assert_error(app.get("/crawl-metrics"), 404, "--crawl-metrics")
@@ -238,9 +253,10 @@ class TestErrors:
         )
 
     def test_bad_top_values(self, app):
-        self.assert_error(
-            app.get("/libraries/jquery/trend?top=never"), 400, "integer"
-        )
+        for value in ("never", "%D9%A1", "%C2%B2", "1_0", "+3", "%203", "1" * 5000):
+            self.assert_error(
+                app.get(f"/libraries/jquery/trend?top={value}"), 400, "integer"
+            )
         self.assert_error(
             app.get("/libraries/jquery/trend?top=0"), 400, "1..50"
         )
@@ -464,6 +480,58 @@ class TestHttpServer:
             assert rejected.getheader("Allow") == "GET"
         finally:
             conn.close()
+
+    def test_non_ascii_digits_answer_over_sockets(self, server, serve_app):
+        """A path parameter ``int()`` cannot read gets the route's 404,
+        not a dropped connection."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/weeks/%C2%B2/overview")
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 404
+        assert body == serve_app.get("/weeks/%C2%B2/overview").body
+
+    def test_socket_replay_equals_in_process(self, store, database, request_mix):
+        """The transport cannot change a byte: the shared mix replayed
+        over one keep-alive connection, revalidating as the in-process
+        harness does, gets the in-process replay's responses one by one."""
+        requests = 120
+        app = ServeApp(store, database=database)
+        server = make_server(app)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        sampler = LoadGenerator(app, request_mix)  # samples; never calls the app
+        etags = {}
+        digests = []
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for _ in range(requests):
+                target, conditional = sampler.sample()
+                known = etags.get(target)
+                headers = {"If-None-Match": known} if known and conditional else {}
+                conn.request("GET", target, headers=headers)
+                response = conn.getresponse()
+                body = response.read()
+                etag = response.getheader("ETag")
+                if response.status == 200 and etag:
+                    etags[target] = etag
+                digests.append(response_digest(target, response.status, etag, body))
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        in_process = LoadGenerator(
+            ServeApp(store, database=database), request_mix
+        ).run(requests)
+        assert in_process.not_modified > 0  # the replay revalidates
+        assert tuple(digests) == in_process.digests
 
     def test_accepted_socket_disables_nagle(self, serve_app):
         """The body write must not wait behind Nagle for the peer's ACK."""
