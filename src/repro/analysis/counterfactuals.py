@@ -20,11 +20,13 @@ Built-in interventions:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..config import BehaviorMix, PlatformConfig, ScenarioConfig
-from ..core.study import Study
 from ..vulndb import MatchMode
+
+if TYPE_CHECKING:  # the pack registry loads this module: no crawl engine
+    from ..core.study import Study
 
 
 @dataclasses.dataclass
@@ -99,6 +101,8 @@ def _outcome(study: Study) -> InterventionOutcome:
 
 
 def _run(config: ScenarioConfig) -> InterventionOutcome:
+    from ..core.study import Study
+
     study = Study(config)
     study.run()
     return _outcome(study)

@@ -258,7 +258,9 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         print("error: --queue-dir is required", file=sys.stderr)
         return 2
 
-    from .orchestrator import DEAD_LETTER, Orchestrator, status_lines
+    # The queue and its status view load no crawl engine; only the run
+    # branch imports the Orchestrator, and with it the generator.
+    from .orchestrator import DEAD_LETTER, status_lines
 
     if args.action == "status":
         try:
@@ -268,6 +270,8 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
+
+    from .orchestrator import Orchestrator
 
     try:
         plan = options.to_plan()
@@ -317,7 +321,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --queue-dir is required", file=sys.stderr)
         return 2
 
-    from .orchestrator import Orchestrator, status_lines
+    from .orchestrator import status_lines
     from .sweep import SWEEP_DOCUMENT_NAME, render_sweep_report
 
     if args.action == "status":
@@ -345,6 +349,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         print(render_sweep_report(document))
         return 0
+
+    from .orchestrator import Orchestrator
 
     try:
         plan = options.to_plan()

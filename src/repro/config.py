@@ -420,7 +420,8 @@ class ObservabilityConfig:
     timers (see :mod:`repro.obs`).  Detailed metrics are deterministic:
     the canonical document is byte-identical across backends, worker
     counts, and kill/resume, so the only reason to disable them is
-    measuring their own overhead (:mod:`benchmarks.bench_obs`).
+    measuring their own overhead (``tests/test_obs.py`` pins that
+    overhead as counted calls).
 
     Attributes:
         metrics: Collect detailed instrumentation (default on).

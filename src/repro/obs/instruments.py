@@ -294,8 +294,9 @@ class Instruments:
         enabled: Gates the *detailed* instrumentation — histograms, span
             events, and wall timers.  Core counters (``inc``) always
             work: the crawl report is built from them, so they are not
-            optional.  Disabling detail exists only so the benchmark can
-            price it (:mod:`benchmarks.bench_obs`).
+            optional.  Disabling detail exists only so that its cost
+            can be measured (``tests/test_obs.py`` pins the work it adds
+            to a crawl as counted calls).
 
     The object is picklable and JSON-codable (:meth:`to_payload` /
     :meth:`from_payload`), merges exactly (:meth:`merge`), and equality

@@ -573,3 +573,59 @@ class JobQueue:
                 )
             records.append(record)
         return records
+
+
+def status_lines(queue_dir: Union[str, Path]) -> List[str]:
+    """Human-readable queue status, one line per job plus a summary.
+
+    Read-only and damage-tolerant: never repairs, never crashes on a
+    half-written queue.
+
+    Raises:
+        QueueError: ``queue_dir`` has no readable queue manifest.
+    """
+    queue = JobQueue(queue_dir)
+    if not queue.manifest_path.exists():
+        raise QueueError(
+            f"{queue.manifest_path} not found: not an orchestrator "
+            f"queue directory"
+        )
+    plan = queue._load_manifest()
+    records = queue.load_records(plan)
+    if plan.is_sweep:
+        lines = [
+            f"sweep {plan.digest()[:12]}: "
+            f"{len(plan.sweep_points)} point(s) x "
+            f"{plan.weeks_per_tick} week(s), population "
+            f"{plan.population}, seed {plan.seed}, policy "
+            f"{plan.degrade_policy}"
+        ]
+        for index, point in enumerate(plan.sweep_points):
+            lines.append(f"  point {index:03d}: {point.describe()}")
+    else:
+        lines = [
+            f"fleet {plan.digest()[:12]}: {plan.ticks} tick(s) x "
+            f"{len(plan.jobs) // plan.ticks} jobs, population "
+            f"{plan.population}, seed {plan.seed}, policy "
+            f"{plan.degrade_policy}"
+        ]
+    for record in records:
+        detail = f"attempts={record.attempt}"
+        if record.state == PENDING and record.lease_owner:
+            detail += f" lease={record.lease_owner}"
+        if record.error:
+            detail += f" error={record.error}"
+        lines.append(f"  {record.job_id:<14} {record.state:<12} {detail}")
+    states: Dict[str, int] = {}
+    for record in records:
+        states[record.state] = states.get(record.state, 0) + 1
+    summary = ", ".join(
+        f"{count} {state}" for state, count in sorted(states.items())
+    )
+    lines.append(f"total: {len(records)} jobs ({summary})")
+    dead = sorted(queue.dead_letter_dir.glob("*.json"))
+    if dead:
+        lines.append(
+            "dead-letter: " + ", ".join(path.stem for path in dead)
+        )
+    return lines

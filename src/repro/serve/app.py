@@ -46,7 +46,7 @@ from ..advisor.findings import ATTACK_SEVERITY, Severity
 from ..analysis import cve_accuracy, external, overview, updates, vulnerable
 from ..analysis import flash as flash_analysis
 from ..durable import parse_json
-from ..errors import ConfigError, ReproError, ServeError
+from ..errors import ConfigError, ServeError
 from ..obs import Instruments
 from ..obs.schema import validate_metrics
 from ..timeline import default_calendar
@@ -347,7 +347,13 @@ class ServeApp:
             )
         except HttpError as exc:
             response = self._error_response(exc, route)
-        except ReproError as exc:
+        except Exception as exc:
+            # Any other failure, typed or not, is a 500: an exception that
+            # escaped would end the socket handler's thread and drop the
+            # connection without a response.  The traceback goes to stderr.
+            import traceback
+
+            traceback.print_exc()
             internal = HttpError(f"internal error: {exc}")
             response = self._error_response(internal, route)
         cost_us = self._account(response, verdict, started_ns)

@@ -17,6 +17,25 @@ from repro.webgen import WebEcosystem
 SERVE_MIX_SEED = 7
 
 
+def count_calls(monkeypatch, *targets) -> dict:
+    """Wrap each ``(owner, name)`` so its calls are counted by name.
+
+    Returns the live ``{name: calls}`` dict.  Work is pinned as counts
+    like these, not as wall time, so a faster host cannot hide it.
+    """
+    calls = {}
+    for owner, name in targets:
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 SMALL_POPULATION = 500
 SEED = 123
 
@@ -61,8 +80,8 @@ def matcher(database) -> VersionMatcher:
 
 # --- serving fixtures -------------------------------------------------
 #
-# The serve tests and benchmarks/bench_serve.py exercise the same
-# artifacts a production deployment would: a binary store persisted to
+# The serve tests exercise the same artifacts a production deployment
+# would: a binary store persisted to
 # disk (format v2) plus the run's canonical crawl metrics, and a seeded
 # Zipf request mix.  Persisting once per session keeps the suite fast
 # and guarantees every consumer queries byte-identical inputs.
@@ -97,7 +116,7 @@ def serve_app(served_run, small_config, database):
 
 @pytest.fixture(scope="session")
 def request_mix(store, database):
-    """The seeded Zipf request mix shared by tests and bench_serve."""
+    """The seeded Zipf request mix shared by the serve tests."""
     from repro.serve import build_mix
 
     return build_mix(store, database, seed=SERVE_MIX_SEED)

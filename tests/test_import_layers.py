@@ -53,6 +53,7 @@ LAZY_PACKAGES = (
     "repro.crawler",
     "repro.webgen",
     "repro.advisor",
+    "repro.orchestrator",
 )
 
 _READ_SIDE_SCRIPT = """
@@ -96,6 +97,28 @@ import sys
 engine = ("numpy", "repro.webgen.ecosystem", "repro.crawler.crawl",
           "repro.runtime.worker", "repro.runtime.ledger")
 print(",".join(name for name in engine if name not in sys.modules))
+"""
+
+_QUEUE_STATUS_SCRIPT = """
+import contextlib, io, json, sys
+
+from repro.cli import main
+
+queue_dir, sweep_dir = sys.argv[1:]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [
+        main(["orchestrate", "status", "--queue-dir", queue_dir]),
+        main(["sweep", "status", "--queue-dir", sweep_dir]),
+        main(["sweep", "report", "--queue-dir", sweep_dir]),
+    ]
+engine = ("numpy", "repro.webgen.ecosystem", "repro.crawler.crawl",
+          "repro.core.study")
+print(json.dumps({
+    "codes": codes,
+    "loaded": [name for name in engine if name in sys.modules],
+    "stdout": out.getvalue(),
+}))
 """
 
 _PUBLIC_NAMES_SCRIPT = """
@@ -196,15 +219,54 @@ def test_read_side_runs_without_the_write_side(served_run, small_config, databas
 
 
 @pytest.mark.parametrize(
-    "statement", ["import repro.orchestrator", "from repro import Study"]
+    "statement",
+    [
+        pytest.param(
+            "import repro.orchestrator\nrepro.orchestrator.Orchestrator",
+            id="import repro.orchestrator",
+        ),
+        "from repro.orchestrator import Orchestrator",
+        "from repro import Study",
+    ],
 )
 def test_write_side_loads_its_engine_at_import(statement):
     """The orchestrator and ``Study`` load the generator, numpy and the
     crawl engine when imported, not on their first crawl, so a
     benchmark's set-up still pays for them and its timed section does
-    not."""
+    not.  The lazy ``repro.orchestrator`` init loads them when
+    ``Orchestrator`` is first resolved, by attribute or by
+    ``from ... import``."""
     missing = _run(_WRITE_SIDE_SCRIPT.format(statement=statement)).strip()
     assert missing == ""
+
+
+def test_queue_status_commands_load_no_engine(tmp_path):
+    """``repro orchestrate status`` and ``repro sweep status|report``
+    read only the queue, its plan and the folded sweep document: over
+    finished queues they print what this process renders, and load
+    neither numpy nor the generator nor the crawl engine."""
+    from repro.orchestrator import FleetPlan, Orchestrator, status_lines
+    from repro.sweep import (
+        SWEEP_DOCUMENT_NAME,
+        SweepSpec,
+        render_sweep_report,
+    )
+
+    fleet_dir, sweep_dir = tmp_path / "fleet", tmp_path / "sweep"
+    Orchestrator(fleet_dir, FleetPlan.build(12, 7, 1, 1)).run()
+    sweep_plan = FleetPlan.build_sweep(
+        SweepSpec.parse("baseline").points, population=12, seed=7, weeks=1
+    )
+    Orchestrator(sweep_dir, sweep_plan).run()
+    report = json.loads(
+        _run(_QUEUE_STATUS_SCRIPT, str(fleet_dir), str(sweep_dir))
+    )
+    assert report["codes"] == [0, 0, 0]
+    assert report["loaded"] == []
+    document = json.loads((sweep_dir / SWEEP_DOCUMENT_NAME).read_text())
+    expected = status_lines(fleet_dir) + status_lines(sweep_dir)
+    expected.append(render_sweep_report(document))
+    assert report["stdout"] == "\n".join(expected) + "\n"
 
 
 def test_lazy_packages_keep_every_public_name():

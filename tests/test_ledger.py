@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import FaultPlan, ScenarioConfig
+from repro import FaultPlan, ScenarioConfig, Study
 from repro.config import ExecutionConfig
 from repro.crawler import Crawler
 from repro.crawler.persistence import save_store, store_to_bytes, store_to_dict
@@ -39,6 +39,8 @@ from repro.runtime.ledger import (
     scenario_digest,
 )
 from repro.webgen import WebEcosystem
+
+from conftest import count_calls
 
 _CONFIG = ScenarioConfig(population=40, seed=11)
 _WEEKS = _CONFIG.calendar.weeks[:4]
@@ -204,6 +206,108 @@ class TestResume:
     def test_execution_config_resume_requires_dir(self):
         with pytest.raises(ConfigError):
             ExecutionConfig(resume=True)
+
+
+# ----------------------------------------------------------------------
+# The ledger's durable work, counted
+# ----------------------------------------------------------------------
+_COUNTED_CONFIG = ScenarioConfig(population=150, seed=77)
+_COUNTED_SHARDS = 7  # 150 domains x 10 weeks in shards of at most 200 cells
+
+
+def _counted_run(checkpoint=None, resume=False):
+    """A full-mode crawl of 150 domains x 10 weeks (two serial workers,
+    shards of at most 200 cells, profile cache off), counting the
+    ledger's durable writes, every ``os.fsync`` and each shard executed.
+
+    Returns ``(report, store bytes, counts)``.
+    """
+    import repro.runtime.ledger as ledger_mod
+    import repro.runtime.worker as worker_mod
+    from repro.options import DurabilityOptions, ExecutionOptions, RunOptions
+
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_calls(
+            patch,
+            (ledger_mod, "atomic_write_bytes"),
+            (os, "fsync"),
+            (worker_mod, "execute_shard"),
+        )
+        study = Study(
+            _COUNTED_CONFIG,
+            mode="full",
+            options=RunOptions(
+                execution=ExecutionOptions(
+                    workers=2,
+                    backend="serial",
+                    shard_size=200,
+                    profile_cache=False,
+                ),
+                durability=DurabilityOptions(
+                    checkpoint_dir=str(checkpoint) if checkpoint else None,
+                    resume=resume,
+                ),
+            ),
+        )
+        report = study.run(weeks=_COUNTED_CONFIG.calendar.weeks[:10])
+    return report, store_to_bytes(study.store), counts
+
+
+class TestDurableWorkCounts:
+    """What the ledger costs, as counts that no host speed moves: one
+    durable write per journaled shard plus the manifest, none without a
+    checkpoint, and a resume that runs and journals only what it lacks."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("counted") / "run"
+        report, store, counts = _counted_run(checkpoint=root)
+        return root, report, store, counts
+
+    def test_one_durable_write_per_journaled_shard(self, reference):
+        root, report, store, counts = reference
+        entries = _journal_entries(root)
+        assert report.shards_reexecuted == len(entries) == _COUNTED_SHARDS
+        # Each shard's entry, then the manifest: two fsyncs apiece (the
+        # file, then its directory).
+        assert counts == {
+            "atomic_write_bytes": _COUNTED_SHARDS + 1,
+            "fsync": 2 * (_COUNTED_SHARDS + 1),
+            "execute_shard": _COUNTED_SHARDS,
+        }
+        assert report.bytes_journaled == sum(
+            entry.stat().st_size for entry in entries
+        )
+        plain, plain_store, plain_counts = _counted_run()
+        assert plain_counts == {
+            "atomic_write_bytes": 0,
+            "fsync": 0,
+            "execute_shard": _COUNTED_SHARDS,
+        }
+        assert plain.bytes_journaled == 0
+        assert plain_store == store
+
+    @pytest.mark.parametrize("keep", [6, 3])
+    def test_resume_runs_and_journals_only_missing_shards(
+        self, reference, tmp_path, keep
+    ):
+        root, _, store, _ = reference
+        work = tmp_path / "run"
+        shutil.copytree(root, work)
+        for entry in _journal_entries(work)[keep:]:
+            entry.unlink()
+        report, resumed, counts = _counted_run(checkpoint=work, resume=True)
+        missing = _COUNTED_SHARDS - keep
+        assert (report.shards_replayed, report.shards_reexecuted) == (
+            keep,
+            missing,
+        )
+        assert counts == {
+            "atomic_write_bytes": missing,
+            "fsync": 2 * missing,
+            "execute_shard": missing,
+        }
+        assert resumed == store
 
 
 class TestCorruptionPaths:

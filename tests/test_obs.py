@@ -4,17 +4,23 @@ The integration-level guarantees (canonical byte-identity across
 backends, shard sizes, cache settings, and kill/resume) live in
 ``test_invariants.py``; this file pins the primitives those guarantees
 are built from — histogram arithmetic, the exact merge, the payload and
-canonical codecs, pickling, and the schema validator.
+canonical codecs, pickling, and the schema validator — and the work the
+instruments layer adds to a full-mode crawl, as counts.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import random
+import sys
 
 import pytest
 
+import repro
+from repro import IncrementalConfig, ScenarioConfig
+from repro.crawler import Crawler
 from repro.errors import ConfigError
 from repro.obs import (
     ATTEMPTS_EDGES,
@@ -26,6 +32,7 @@ from repro.obs import (
     load_schema,
     validate_metrics,
 )
+from repro.webgen import WebEcosystem
 
 
 class TestHistogram:
@@ -252,3 +259,130 @@ class TestSpanEvent:
         assert "backend" not in event.to_dict(include_backend=False)
         twin = SpanEvent.from_dict({**event.to_dict(), "backend": "serial"})
         assert twin == event  # backend is excluded from equality
+
+
+# ----------------------------------------------------------------------
+# The instruments layer of a full-mode crawl, counted
+# ----------------------------------------------------------------------
+#: The crawl whose instruments layer is priced: 150 domains x 10 weeks,
+#: full mode, profile cache and accessibility filter off, so every page
+#: is rendered, fetched and fingerprinted.
+_CRAWL_CONFIG = ScenarioConfig(population=150, seed=77)
+_CRAWL_WEEKS = _CRAWL_CONFIG.calendar.weeks[:10]
+#: (instrument ops, pages) of that crawl.
+_OPS_AND_PAGES = (13_944, 1_288)
+#: Python-level calls the replay makes: one per ``inc`` and
+#: ``add_wall_us`` op, three per ``observe`` op (``observe``,
+#: ``histogram``, ``Histogram.observe``) and two ``Histogram``
+#: constructions.
+_REPLAY_PYTHON_CALLS = 19_098
+#: Upper bound on the replay's C calls: 16,525 on Python 3.11 (a
+#: ``dict.get`` per op, a ``bisect_left`` per ``observe``, ``sorted`` and
+#: ``len`` per new histogram, and the ``sys.setprofile`` call that ends
+#: the count).  Bounded, not pinned, since interpreters may report C
+#: calls differently; one more C call per op of any kind adds at least
+#: 2,576.
+_REPLAY_C_CALLS_BOUND = 17_000
+_REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+
+
+class _RecordingInstruments(Instruments):
+    """An Instruments that logs every operation a crawl performs (a
+    crawl block records counters, histograms and wall timers only)."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self):
+        super().__init__(enabled=True)
+        self.ops = []
+
+    def inc(self, name, value=1):
+        self.ops.append(("inc", name, value, None))
+        super().inc(name, value)
+
+    def observe(self, name, value, edges):
+        self.ops.append(("observe", name, value, edges))
+        super().observe(name, value, edges)
+
+    def add_wall_us(self, name, micros):
+        self.ops.append(("wall", name, micros, None))
+        super().add_wall_us(name, micros)
+
+
+def _crawl(instruments, profile_cache=False):
+    ecosystem = WebEcosystem(_CRAWL_CONFIG)
+    crawler = Crawler(
+        ecosystem,
+        mode="full",
+        apply_filter=False,
+        incremental=IncrementalConfig(profile_cache=profile_cache),
+    )
+    crawler.crawl_block(_CRAWL_WEEKS, list(ecosystem.population), instruments)
+    return instruments
+
+
+def _counted_replay(ops):
+    """Apply an op stream to a fresh Instruments under ``sys.setprofile``.
+
+    Returns ``(instruments, python_calls, outside_calls, c_calls)``:
+    the Python-level calls made while replaying, those of them whose
+    code is not in the ``repro`` package, and the C calls.
+    """
+    ins = Instruments()
+    counts = {"call": 0, "outside": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["call"] += 1
+            if not frame.f_code.co_filename.startswith(_REPRO_DIR):
+                counts["outside"] += 1
+        elif event == "c_call":
+            counts["c_call"] += 1
+
+    sys.setprofile(profile)
+    try:
+        for kind, name, value, edges in ops:
+            if kind == "inc":
+                ins.inc(name, value)
+            elif kind == "observe":
+                ins.observe(name, value, edges)
+            else:
+                ins.add_wall_us(name, value)
+    finally:
+        sys.setprofile(None)
+    return ins, counts["call"], counts["outside"], counts["c_call"]
+
+
+@pytest.fixture(scope="module")
+def recorded_crawl():
+    return _crawl(_RecordingInstruments())
+
+
+class TestCrawlInstruments:
+    """The instruments layer's added work, as counts that cannot drift
+    with the speed of the host or of the crawl around it."""
+
+    def test_op_stream_is_pinned(self, recorded_crawl):
+        """The crawl's op stream is a pure function of the scenario: an
+        instrument call added to the per-page path shows here, however
+        cheap."""
+        ops = len(recorded_crawl.ops)
+        pages = recorded_crawl.counter("crawl.pages")
+        assert (ops, pages) == _OPS_AND_PAGES
+
+    def test_replay_work_is_pinned(self, recorded_crawl):
+        """Replaying the stream reproduces the recording exactly, and
+        makes a pinned number of Python-level calls, all in ``repro``."""
+        runs = [_counted_replay(recorded_crawl.ops) for _ in range(2)]
+        replayed, python_calls, outside, c_calls = runs[0]
+        assert replayed == recorded_crawl
+        assert python_calls == _REPLAY_PYTHON_CALLS
+        assert outside == 0
+        assert c_calls <= _REPLAY_C_CALLS_BOUND
+        assert runs[1][1:] == (python_calls, outside, c_calls)
+
+    def test_disabled_detail_records_core_counters_only(self):
+        """The ``--no-metrics`` path: counters fill, detail stays empty."""
+        ins = _crawl(Instruments(enabled=False), profile_cache=True)
+        assert ins.counter("crawl.pages") > 0
+        assert not ins.histograms and not ins.events and not ins.process

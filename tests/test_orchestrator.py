@@ -35,6 +35,8 @@ from repro.orchestrator import (
 from repro.orchestrator.queue import BLOCKED, PENDING, SKIPPED
 from repro.orchestrator.runner import JobRunner
 
+from conftest import count_calls
+
 _POPULATION = 24
 _SEED = 7
 _CHAOS = "seed=3,jobcrash=0.4,leasestorm=0.5,queuetear=0.5"
@@ -69,21 +71,6 @@ def _profile_store_counters(root: Path) -> dict:
             values["profile_store.misses"],
         )
     return counters
-
-
-def _count_calls(monkeypatch, *targets) -> dict:
-    """Wrap each ``(owner, name)`` so its calls are counted by name."""
-    calls = {}
-    for owner, name in targets:
-        original = getattr(owner, name)
-        calls[name] = 0
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 def _artifact_digests(root: Path, include_metrics: bool = True) -> dict:
@@ -331,7 +318,7 @@ class TestFleetExecution:
         root, _, _ = clean_fleet
         before = _artifact_digests(root)
         metrics_before = (root / "fleet-metrics.json").read_bytes()
-        calls = _count_calls(
+        calls = count_calls(
             monkeypatch,
             (JobRunner, "execute"),
             (persistence, "load_store"),
@@ -766,7 +753,7 @@ class TestStoreHandover:
         self, tmp_path, monkeypatch
     ):
         plan = _plan(ticks=3)
-        calls = _count_calls(monkeypatch, (persistence, "load_store"))
+        calls = count_calls(monkeypatch, (persistence, "load_store"))
         records = Orchestrator(tmp_path / "shared", plan).run()
         assert all(r.state == DONE for r in records.values())
         assert calls["load_store"] == 0
@@ -821,7 +808,7 @@ class TestStoreHandover:
         # re-recorded: the slot's sha256 no longer matches.
         result.artifacts["store.bin"].write_bytes(_one_shot_store(1))
         queue.write_done_manifest("crawl-000", 0, result.artifacts, result.extra)
-        calls = _count_calls(monkeypatch, (persistence, "load_store"))
+        calls = count_calls(monkeypatch, (persistence, "load_store"))
         rewritten = _execute_done(runner, "analyses-000")
         assert calls["load_store"] == 1
         assert rewritten != from_slot

@@ -245,8 +245,44 @@ def _run(config, weeks, plan_from=None, backend="serial", workers=2,
     return report, store_to_bytes(crawler.store)
 
 
+def _planned_tail_idle(planner, workers):
+    """Tail idle of a pool fed a plan's shards in plan order.
+
+    The greedy earliest-free-worker schedule (how the dispatcher feeds a
+    pool) over the canonical per-shard ``cost_units`` of a metrics
+    document's planner section: the cost units the workers spend
+    finished while the last shard still runs.
+    """
+    free = [0] * workers
+    for row in sorted(planner["shards"], key=lambda row: row["index"]):
+        slot = min(range(workers), key=free.__getitem__)
+        free[slot] += row["cost_units"]
+    makespan = max(free)
+    return sum(makespan - busy for busy in free)
+
+
 class TestPlanFromEndToEnd:
     """run → metrics → replan → rerun: the same dataset, better balance."""
+
+    def test_replan_shrinks_the_planned_tail_idle(self, tmp_path):
+        """Pass 2 replans from pass 1's canonical metrics at the same
+        shard count, and is strictly better balanced: less planned pool
+        idle, and a lower cost imbalance.  Over 1,000 domains x 16 weeks
+        on 4 workers the tail idle falls from 9,348 to 1,172 cost units
+        and the imbalance from 1,074 to 1,009 permille.
+        """
+        config = ScenarioConfig(population=1_000, seed=20230926)
+        weeks = config.calendar.weeks[:16]
+        report1, store1 = _run(config, weeks, workers=4)
+        profile = tmp_path / "pass1.json"
+        profile.write_text(report1.metrics.canonical_json())
+        report2, store2 = _run(config, weeks, plan_from=str(profile), workers=4)
+        planner1 = json.loads(report1.metrics.canonical_json())["planner"]
+        planner2 = json.loads(report2.metrics.canonical_json())["planner"]
+        assert len(planner2["shards"]) == len(planner1["shards"])
+        assert _planned_tail_idle(planner2, 4) < _planned_tail_idle(planner1, 4)
+        assert planner2["imbalance_permille"] < planner1["imbalance_permille"]
+        assert store2 == store1
 
     def test_adaptive_rerun_is_byte_identical(self, tmp_path):
         def prop(rng, seed):

@@ -12,8 +12,13 @@ import pytest
 
 from repro import ExecutionConfig, IncrementalConfig, ScenarioConfig, Study
 from repro.crawler import Crawler, ObservationStore
-from repro.crawler.persistence import store_from_dict, store_to_dict
+from repro.crawler.persistence import (
+    store_from_dict,
+    store_to_bytes,
+    store_to_dict,
+)
 from repro.errors import ConfigError, CrawlError, StoreError
+from repro.fingerprint import FingerprintEngine
 from repro.runtime import (
     ProcessBackend,
     SerialBackend,
@@ -22,6 +27,8 @@ from repro.runtime import (
 )
 from repro.vulndb import MatchMode, VersionMatcher, default_database
 from repro.webgen import WebEcosystem
+
+from conftest import count_calls
 
 
 def _square(x):
@@ -386,6 +393,44 @@ class TestIncrementalEquivalence:
         )
         report = crawler.run(weeks=weeks)
         assert report.cache_hits == 0 and report.cache_misses == 0
+
+    def test_cache_hit_skips_render_and_fingerprint(self, monkeypatch):
+        """A full-mode cache hit neither renders nor fingerprints.
+
+        Counted calls, not wall time: over 150 domains x 10 weeks the
+        uncached crawl renders and fingerprints each of its 1,288 pages
+        once; the cached one does both only for the 143 pages whose
+        site state it has not seen (1,155 hits, 145 misses), and saves
+        the same store bytes.
+        """
+        calls = count_calls(
+            monkeypatch,
+            (WebEcosystem, "landing_page"),
+            (FingerprintEngine, "fingerprint"),
+        )
+        config = ScenarioConfig(population=150, seed=77)
+
+        def crawl(cache):
+            for name in calls:
+                calls[name] = 0
+            crawler = Crawler(
+                WebEcosystem(config),
+                mode="full",
+                apply_filter=False,
+                incremental=IncrementalConfig(profile_cache=cache),
+            )
+            report = crawler.run(weeks=config.calendar.weeks[:10])
+            return report, dict(calls), store_to_bytes(crawler.store)
+
+        cold, cold_calls, cold_store = crawl(False)
+        warm, warm_calls, warm_store = crawl(True)
+        assert cold.pages_collected == warm.pages_collected == 1_288
+        assert cold.fetch_failures == warm.fetch_failures
+        assert cold_calls == {"landing_page": 1_288, "fingerprint": 1_288}
+        assert (warm.cache_hits, warm.cache_misses) == (1_155, 145)
+        assert warm.cache_hit_rate > 0.5
+        assert warm_calls == {"landing_page": 143, "fingerprint": 143}
+        assert warm_store == cold_store
 
     def test_manifest_mode_cached_matches_uncached(self):
         config = ScenarioConfig(population=100, seed=55)

@@ -40,6 +40,17 @@ from repro.vulndb import MatchMode
 from conftest import SERVE_MIX_SEED
 
 
+def _broken_scan_app(store, database):
+    """An app whose scan endpoint (never precomputed) raises ValueError."""
+    app = ServeApp(store, database=database, precompute=False)
+
+    def scan(params, args):
+        raise ValueError("scan exploded")
+
+    app._endpoint_scan = scan
+    return app
+
+
 def canonical(payload) -> bytes:
     return (
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -272,6 +283,19 @@ class TestErrors:
         app.get("/cves/CVE-0000-00000")
         assert len(app.cache) == 0
 
+    def test_unexpected_endpoint_error_is_a_typed_500(self, store, database):
+        """An endpoint that raises an untyped exception still gets the
+        typed 500 body: ``handle`` never raises, caches nothing and
+        counts the response."""
+        app = _broken_scan_app(store, database)
+        rank = sorted(store.observed_domains)[0]
+        response = app.get(f"/domains/{rank}/scan")
+        self.assert_error(response, 500, "internal error: scan exploded")
+        assert response.route == "scan"
+        assert len(app.cache) == 0
+        assert app.obs.counter("serve.status.500") == 1
+        assert app.get("/healthz").status == 200
+
 
 class TestHttpCaching:
     def test_if_none_match_304(self, app):
@@ -494,6 +518,36 @@ class TestHttpServer:
             conn.close()
         assert response.status == 404
         assert body == serve_app.get("/weeks/%C2%B2/overview").body
+
+    def test_unexpected_endpoint_error_keeps_the_connection(
+        self, store, database
+    ):
+        """An endpoint's untyped exception reaches the client as the
+        typed 500, and the same keep-alive connection serves on."""
+        app = _broken_scan_app(store, database)
+        server = make_server(app)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        rank = sorted(store.observed_domains)[0]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", f"/domains/{rank}/scan")
+            failed = conn.getresponse()
+            failed_body = failed.read()
+            conn.request("GET", "/healthz")
+            healthy = conn.getresponse()
+            healthy_body = healthy.read()
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert failed.status == 500
+        assert failed_body == app.get(f"/domains/{rank}/scan").body
+        assert healthy.status == 200
+        assert json.loads(healthy_body)["status"] == "ok"
 
     def test_socket_replay_equals_in_process(self, store, database, request_mix):
         """The transport cannot change a byte: the shared mix replayed

@@ -28,6 +28,8 @@ from repro.sweep import (
     render_sweep_report,
 )
 
+from conftest import count_calls
+
 _POPULATION = 20
 _SEED = 6
 _WEEKS = 2
@@ -315,6 +317,30 @@ class TestSweepEndToEnd:
         _run_sweep(clean_sweep)
         assert executed == []
         assert (clean_sweep / SWEEP_DOCUMENT_NAME).read_bytes() == before
+
+    def test_fold_decodes_no_store_and_runs_no_analysis(
+        self, clean_sweep, tmp_path, monkeypatch
+    ):
+        """The fold reads each point's small ``analyses.json`` and
+        nothing else: over a finished sweep it loads and decodes no
+        store, runs no registered analysis, and writes the same bytes."""
+        from repro.analysis.api import RegisteredAnalysis
+        from repro.crawler import persistence
+
+        root = tmp_path / "q"
+        shutil.copytree(clean_sweep, root)
+        before = (root / SWEEP_DOCUMENT_NAME).read_bytes()
+        calls = count_calls(
+            monkeypatch,
+            (persistence, "load_store"),
+            (persistence, "store_from_bytes"),
+            (RegisteredAnalysis, "run"),
+        )
+        plan = _sweep_plan()
+        result = JobRunner(JobQueue(root), plan).execute(plan.job("sweep-fold-000"))
+        assert calls == {"load_store": 0, "store_from_bytes": 0, "run": 0}
+        assert result.extra["missing"] == []
+        assert (root / SWEEP_DOCUMENT_NAME).read_bytes() == before
 
     @pytest.mark.parametrize(
         "body",
