@@ -112,29 +112,3 @@ def vulnerability_cdf(store: ObservationStore) -> VulnCountCdf:
         mean[mode] = sum(c * n for c, n in histogram.items()) / total
         median[mode] = median_value
     return VulnCountCdf(cdf=cdf, mean=mean, median=median)
-
-
-def library_vulnerable_share(
-    store: ObservationStore, library: str, mode: MatchMode = MatchMode.CVE
-) -> float:
-    """Average share of collected sites carrying a vulnerable ``library``.
-
-    The paper reports vulnerable jQuery versions on 37.7% of websites.
-    Computed from per-advisory counts via inclusion-exclusion upper
-    bound is wrong; instead we use the max single-advisory count as a
-    lower bound and the summed histogram as an upper — here we simply
-    report the share affected by the library's widest-reaching advisory,
-    which for jQuery matches the paper's methodology (its top CVEs cover
-    all vulnerable versions).
-    """
-    from ..vulndb import default_database
-
-    database = default_database()
-    best = 0.0
-    for advisory in database.for_library(library):
-        share = store.average(
-            lambda agg, _id=advisory.identifier: agg.advisory_sites[mode].get(_id, 0)
-            / max(agg.collected, 1)
-        )
-        best = max(best, share)
-    return best

@@ -80,12 +80,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # budgets, fault-plan specs, resume-without-checkpoint...) with
         # the same ConfigError messages the Study API raises.
         options = options_from_namespace(args)
+        config = ScenarioConfig(population=args.population, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fault_plan = options.resilience.fault_plan
 
-    config = ScenarioConfig(population=args.population, seed=args.seed)
     if args.scenario_pack or args.pack_param:
         from .scenarios import apply_pack
 

@@ -35,7 +35,6 @@ from ..config import ScenarioConfig, default_scenario
 from ..crawler import Crawler, CrawlReport, ObservationStore
 from ..durable import atomic_write_bytes
 from ..errors import AnalysisError
-from ..fingerprint import FingerprintEngine
 from ..options import RunOptions
 from ..poclab import ValidationLab
 from ..runtime.faults import FaultPlan
@@ -87,7 +86,6 @@ class Study:
         self.fault_plan: Optional[FaultPlan] = self.options.resilience.fault_plan
         self.ecosystem = WebEcosystem(self.config)
         self.store = ObservationStore(self.config.calendar, self.matcher)
-        self.engine = FingerprintEngine()
         self._crawl_report: Optional[CrawlReport] = None
 
     # ------------------------------------------------------------------
@@ -98,11 +96,11 @@ class Study:
 
         A week whose pages the store already holds is refused with
         :class:`~repro.errors.CrawlError` before anything is probed (a
-        second crawl would count them twice).  Crawl weeks in calendar
-        order: an earlier week crawled later makes a changed site's
-        trajectory run backwards, and ``store_to_bytes`` then raises
-        :class:`~repro.errors.StoreError`.  Use a new ``Study`` to crawl
-        again.
+        second crawl would count them twice); use a new ``Study`` to
+        crawl it again.  Each run folds its shards into the store, so
+        a window may precede the one crawled before it: crawling the
+        last month and then the four weeks before it saves the store
+        that crawling the two windows in calendar order saves.
 
         With ``options.observability.metrics_out`` set, the report's
         canonical metrics document is written there after the crawl —
@@ -112,7 +110,6 @@ class Study:
         crawler = Crawler(
             self.ecosystem,
             store=self.store,
-            engine=self.engine,
             mode=self.mode,
             fault_plan=self.fault_plan,
         )

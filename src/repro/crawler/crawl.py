@@ -164,26 +164,6 @@ class CrawlReport:
         return self.dropped_shards > 0
 
 
-def _shard_outcome_fields(instruments: Instruments, cells: int) -> dict:
-    """The outcome facts a completed shard's span event carries.
-
-    Integer facts only: they feed the canonical ``planner`` cost
-    profile (``cells``/``pages``/``failures``/``cache_misses``/
-    ``scripts`` are the cost-model inputs), so they must be exactly
-    deterministic — wall time travels separately as the event's
-    non-canonical ``duration_us``.
-    """
-    scripts = instruments.histograms.get("page.scripts")
-    return {
-        "pages": instruments.counter("crawl.pages"),
-        "failures": instruments.counter("crawl.fetch_failures"),
-        "cache_hits": instruments.counter("cache.hits"),
-        "cache_misses": instruments.counter("cache.misses"),
-        "cells": int(cells),
-        "scripts": scripts.total if scripts is not None else 0,
-    }
-
-
 def profile_from_manifest(
     manifest: SiteManifest, cdn_catalog: CdnCatalog
 ) -> PageProfile:
@@ -279,9 +259,10 @@ class Crawler:
         ecosystem: The built web ecosystem.
         store: Destination for fingerprinted observations; when omitted a
             fresh store with the default vulnerability database is used.
-        engine: Fingerprint engine (``full`` mode; manifest mode only
-            borrows its CDN catalog and builds no engine of its own).
         mode: ``"full"`` or ``"manifest"`` (see module docstring).
+            Full mode builds a fingerprint engine for
+            :meth:`crawl_block`; manifest mode builds none and reads
+            only a CDN catalog.
         apply_filter: Run the paper's accessibility prefilter.
         execution: Sharding/backend override; defaults to the scenario
             config's ``execution`` section.
@@ -289,9 +270,8 @@ class Crawler:
             config's ``incremental`` section.
         fault_plan: Deterministic chaos schedule
             (:class:`~repro.runtime.FaultPlan`); ``None`` runs
-            fault-free.  With a plan active the crawl always goes
-            through the resilient dispatch path, so injected faults
-            behave identically on every backend.
+            fault-free.  Injected faults fire at the shard boundary,
+            so they behave identically on every backend.
         checkpoint_dir: Run-ledger directory for durable runs; defaults
             to the execution config's ``checkpoint_dir`` (``None``
             disables checkpointing).
@@ -304,7 +284,6 @@ class Crawler:
         self,
         ecosystem: WebEcosystem,
         store: Optional[ObservationStore] = None,
-        engine: Optional[FingerprintEngine] = None,
         mode: str = "full",
         apply_filter: bool = True,
         execution: Optional[ExecutionConfig] = None,
@@ -316,11 +295,11 @@ class Crawler:
         if mode not in ("full", "manifest"):
             raise CrawlError(f"unknown crawl mode {mode!r}")
         self.ecosystem = ecosystem
-        if engine is None and mode == "full":
-            engine = FingerprintEngine()
-        self.engine = engine
+        self.engine = FingerprintEngine() if mode == "full" else None
         self.cdn_catalog = (
-            engine.cdn_catalog if engine is not None else default_cdn_catalog()
+            self.engine.cdn_catalog
+            if self.engine is not None
+            else default_cdn_catalog()
         )
         if store is None:
             matcher = VersionMatcher(default_database())
@@ -386,9 +365,12 @@ class Crawler:
 
         The run is planned as balanced shards over the ``(week, domain)``
         space, dispatched through the configured execution backend, and
-        folded back into :attr:`store`.  Results are bit-identical across
-        backends and worker counts; a single-shard serial plan takes the
-        direct in-process path with zero dispatch overhead.
+        folded back into :attr:`store`.  Every plan takes that one path,
+        a single serial shard included: each shard crawls into its own
+        store on the worker's cached ecosystem (see
+        :mod:`repro.runtime.worker`), so this crawler's ecosystem is
+        only probed, never crawled.  Results are bit-identical across
+        backends and worker counts.
 
         With :attr:`checkpoint_dir` set the run is durable: completed
         shard payloads are journaled write-ahead (see
@@ -453,68 +435,14 @@ class Crawler:
                 shard_size=execution.shard_size,
                 cost_model=cost_model,
             )
-        backend_name = execution.resolved_backend
-        shard_errors: Tuple[str, ...] = ()
-        if (
-            self.fault_plan is None
-            and self.checkpoint_dir is None
-            and backend_name == "serial"
-            and len(shards) <= 1
-        ):
-            instruments.set_plan(
-                len(target_weeks),
-                len(domains),
-                (
-                    (s.index, s.week_start, s.week_count, s.domain_start,
-                     s.domain_count)
-                    for s in shards
-                ),
-            )
-            import time as _time
-
-            started = _time.perf_counter_ns()
-            with instruments.span("dispatch"):
-                self.crawl_block(target_weeks, domains, instruments=instruments)
-            # Mirror the worker path's shard accounting exactly, so a
-            # direct serial run exports the identical canonical metrics
-            # document a one-shard dispatched run would.
-            instruments.event(
-                "shard",
-                status="ok",
-                shard_index=0,
-                shard_key=shard_coverage_key(
-                    tuple(w.ordinal for w in target_weeks),
-                    tuple(d.name for d in domains),
-                ),
-                attempt=0,
-                fields=_shard_outcome_fields(
-                    instruments, len(target_weeks) * len(domains)
-                ),
-                backend="serial",
-                duration_us=(_time.perf_counter_ns() - started) // 1000,
-            )
-            instruments.inc("shards.completed")
-            for name in (
-                "dispatch.retries",
-                "dispatch.backoff_us",
-                "dispatch.dropped_shards",
-                "dispatch.dropped_cells",
-            ):
-                instruments.inc(name, 0)
-            instruments.note("backend", "serial")
-        else:
-            # A fault plan or a ledger always takes the dispatch path,
-            # even for a single serial shard: injection points, retry /
-            # drop semantics, and journaling must be identical on every
-            # backend.
-            shard_errors = self._run_sharded(
-                shards,
-                target_weeks,
-                domains,
-                backend_name,
-                execution.workers,
-                instruments,
-            )
+        shard_errors = self._run_sharded(
+            shards,
+            target_weeks,
+            domains,
+            execution.resolved_backend,
+            execution.workers,
+            instruments,
+        )
 
         return CrawlReport(
             weeks_crawled=len(target_weeks),
@@ -663,8 +591,11 @@ class Crawler:
         """Dispatch planned shards through a backend and fold results.
 
         Workers rebuild their ecosystems deterministically from the
-        scenario config and ship partial stores back as canonical
-        binary blobs; folding uses the store's exact merge.
+        scenario config and hand partial stores back: a shard run in
+        this process hands over its live store, and one run in a pool
+        process (or replayed from the journal) arrives as the store
+        codec's canonical bytes, which the fold decodes.  Folding uses
+        the store's exact merge either way.
         Failed shards are retried with bounded backoff and, once
         exhausted, dropped with accounting rather than aborting the run
         (see :mod:`repro.runtime.dispatch`).
@@ -680,11 +611,7 @@ class Crawler:
         error lines (which name the live backend, so they stay out of
         the metrics object).
         """
-        from .persistence import (
-            BINARY_FORMAT_VERSION,
-            store_from_bytes,
-            store_from_dict,
-        )
+        from .persistence import BINARY_FORMAT_VERSION, store_from_bytes
 
         # Workers rebuild their crawler from the config, so explicit
         # incremental overrides must travel inside it.
@@ -784,16 +711,10 @@ class Crawler:
         with ins.span("fold"):
             for index in sorted(payload_by_index):
                 payload = payload_by_index[index]
-                blob = payload["store"]
-                if isinstance(blob, (bytes, bytearray)):
+                partial = payload["store"]
+                if isinstance(partial, (bytes, bytearray)):
                     partial = store_from_bytes(
-                        bytes(blob), self.store.calendar, self.store.matcher
-                    )
-                else:
-                    # Dict payloads still fold — tests and external
-                    # tooling may synthesize them via store_to_dict.
-                    partial = store_from_dict(
-                        blob, self.store.calendar, self.store.matcher
+                        bytes(partial), self.store.calendar, self.store.matcher
                     )
                 self.store.merge(partial)
                 ins.merge(Instruments.from_payload(payload["metrics"]))

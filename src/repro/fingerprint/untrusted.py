@@ -32,14 +32,3 @@ def is_untrusted_host(hostname: Optional[str]) -> bool:
         hostname == suffix or hostname.endswith("." + suffix)
         for suffix in UNTRUSTED_HOST_SUFFIXES
     )
-
-
-def repository_of(hostname: Optional[str]) -> Optional[str]:
-    """The repository owner slug for a VCS pages host.
-
-    ``blueimp.github.io`` -> ``blueimp.github.io`` (the paper reports
-    whole pages hosts); non-VCS hosts return None.
-    """
-    if not is_untrusted_host(hostname):
-        return None
-    return hostname.lower() if hostname else None

@@ -108,13 +108,29 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
-        return cls(
-            job_id=payload["job_id"],
-            kind=payload["kind"],
-            tick=payload["tick"],
-            hard_deps=tuple(payload["hard_deps"]),
-            soft_deps=tuple(payload["soft_deps"]),
-        )
+        """Read a spec back from ``queue.json``, an untrusted document.
+
+        Raises:
+            ConfigError: A field has the wrong type, or the kind is
+                unknown.
+        """
+        job, kind, tick = payload["job_id"], payload["kind"], payload["tick"]
+        deps = (payload["hard_deps"], payload["soft_deps"])
+        if not isinstance(job, str):
+            raise ConfigError(f"job_id must be a string, got {job!r}")
+        if kind not in JOB_KINDS:
+            raise ConfigError(f"job {job!r} has unknown kind {kind!r}")
+        if type(tick) is not int:
+            raise ConfigError(f"job {job!r} has a non-integer tick {tick!r}")
+        for names in deps:
+            if not isinstance(names, list) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise ConfigError(
+                    f"job {job!r} has dependencies that are not a list of "
+                    f"job ids: {names!r}"
+                )
+        return cls(job, kind, tick, tuple(deps[0]), tuple(deps[1]))
 
 
 @dataclasses.dataclass(frozen=True)

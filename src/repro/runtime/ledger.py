@@ -9,10 +9,10 @@ This module makes whole-process death survivable:
   ordinals, retained-domain digest, store format, and the full shard
   plan (with each shard's coverage key);
 * a **write-ahead journal** (``journal/shard-*.wal``) receives every
-  completed shard's payload — the exact frame the dispatch fold
-  consumes — checksummed with sha256 and written with fsync + atomic
-  rename *inside the worker*, so a payload is durable the moment the
-  dispatcher could ever see it;
+  completed shard's payload — with its store in the codec bytes a
+  replay folds — checksummed with sha256 and written with fsync +
+  atomic rename *inside the worker*, so a payload is durable the moment
+  the dispatcher could ever see it;
 * on resume, journaled payloads are **replayed** through the identical
   deterministic merge fold; truncated, bit-flipped, or otherwise invalid
   entries are **quarantined** into ``quarantine/`` and their shards
@@ -24,8 +24,8 @@ whose body is the format-3 frame: a u32 length prefix, the shard
 store's canonical binary blob (format v2, already zlib-sectioned —
 see :mod:`repro.crawler.persistence`), and the zlib-compressed
 canonical JSON of the remaining payload fields ("metrics", counters).
-The store blob is journaled verbatim — no re-encode on either side of
-the write-ahead boundary.
+A pool process's store blob is journaled verbatim; a shard run in the
+dispatching process is encoded once, for its entry alone.
 
 Run-directory layout::
 
@@ -267,6 +267,55 @@ class RunManifest:
         """Expected journal-entry coverage key per shard index."""
         return {row[0]: row[5] for row in self.shard_plan}
 
+    def plan_problem(self) -> Optional[str]:
+        """Why the shard plan does not partition this run's grid.
+
+        ``None`` when it does: each row is five ints and a coverage
+        key, the indices run ``0..n-1`` in order, each shard is a
+        non-empty block of the ``len(week_ordinals) x domain_count``
+        grid, and every cell lies in exactly one shard.  A resumed run
+        adopts the stored plan, so it is checked first.
+        """
+        n_weeks, n_domains = len(self.week_ordinals), self.domain_count
+        cuts = {0, n_weeks}
+        for position, row in enumerate(self.shard_plan):
+            index, week_start, week_count, domain_start, domain_count, key = row
+            if any(type(value) is not int for value in row[:5]) or not (
+                isinstance(key, str)
+            ):
+                return f"row {position} is not five ints and a coverage key"
+            if index != position:
+                return f"row {position} has shard index {index}"
+            if not (
+                0 <= week_start < week_start + week_count <= n_weeks
+                and 0 <= domain_start < domain_start + domain_count <= n_domains
+            ):
+                return (
+                    f"shard {index} is not a non-empty block of the "
+                    f"{n_weeks} x {n_domains} grid"
+                )
+            cuts.update((week_start, week_start + week_count))
+        # The weeks between two consecutive cuts lie in the same shards,
+        # whose domain runs must tile the domains.
+        cuts = sorted(cuts)
+        for first, end in zip(cuts, cuts[1:]):
+            covered = 0
+            for start, count in sorted(
+                (row[3], row[4])
+                for row in self.shard_plan
+                if row[1] <= first < row[1] + row[2]
+            ):
+                if start != covered:  # a gap or an overlap
+                    covered = -1
+                    break
+                covered += count
+            if covered != n_domains:
+                return (
+                    f"weeks {first}-{end - 1} do not cover the {n_domains} "
+                    f"domains exactly once"
+                )
+        return None
+
 
 # ----------------------------------------------------------------------
 # Ledger scan result
@@ -341,7 +390,9 @@ class RunLedger:
         Raises:
             CheckpointError: The directory already holds a run and
                 ``resume`` is false, or its manifest is unreadable.
-            CheckpointMismatchError: The stored run is not this run.
+            CheckpointMismatchError: The stored run is not this run, or
+                its shard plan does not cover the run's grid exactly
+                once (:meth:`RunManifest.plan_problem`).
         """
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -356,6 +407,14 @@ class RunLedger:
                 )
             stored = self._load_manifest()
             mismatches = stored.mismatches(manifest)
+            if not mismatches:
+                problem = stored.plan_problem()
+                if problem is not None:
+                    mismatches = [(
+                        "shard_plan",
+                        problem,
+                        "every cell of the grid in exactly one shard",
+                    )]
             if mismatches:
                 raise CheckpointMismatchError(self.manifest_path, mismatches)
             payloads, quarantined, replayed_bytes = self._scan_journal(stored)
@@ -518,6 +577,9 @@ class JournalingRunner:
     completes.  That is what makes a hard process abort survivable at
     per-shard granularity on every backend: by the time a payload could
     reach the dispatcher, it is already durable.
+
+    A payload that carries its store live (a shard run in the calling
+    process) is encoded once, for the journal only, and passed on live.
     """
 
     def __init__(
@@ -531,9 +593,14 @@ class JournalingRunner:
     def __call__(self, task: ShardTask) -> Dict[str, object]:
         payload = self.run_task(task)
         if payload.get("ok"):
+            from ..crawler.persistence import store_to_bytes
+
             started = time.perf_counter_ns()
+            entry = payload
+            if not isinstance(payload["store"], (bytes, bytearray)):
+                entry = dict(payload, store=store_to_bytes(payload["store"]))
             RunLedger(self.root).journal(
-                task.shard_index, task.shard_key(), payload
+                task.shard_index, task.shard_key(), entry
             )
             # The journal-write wall time is stamped *after* journaling
             # (the durable bytes can't contain their own write time) and

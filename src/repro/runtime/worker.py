@@ -5,16 +5,19 @@ slice of the crawl from scratch — the scenario config (ecosystems are
 deterministic functions of it), the crawl mode, the shard's week
 ordinals and domain names, and the vulnerability database.  That makes
 the task picklable, so the same :func:`execute_shard` function serves
-the serial and process backends unchanged.
+the serial and process backends unchanged, and every crawl runs
+through it: a one-shard serial run is one in-process call.
 
-Results travel back as the persistence layer's binary store codec
-(:func:`~repro.crawler.persistence.store_to_bytes`) plus the shard's
-page and failure counters; the dispatching crawler decodes the partial
-stores and folds them with
-:meth:`~repro.crawler.ObservationStore.merge`.  Bytes beat a dict here
-twice over: pickling one ``bytes`` object across the process boundary
-is far cheaper than a deep dict of per-week counters, and the blob is
-already the exact frame the run ledger journals.
+The shard's store travels back in the cheapest form its trip allows,
+chosen by the task's ``backend_name``.  A shard run in a pool process
+returns the persistence layer's binary store codec
+(:func:`~repro.crawler.persistence.store_to_bytes`): pickling one
+``bytes`` object across the process boundary is far cheaper than the
+store's object graph.  A shard run in the dispatching process hands
+over its live :class:`~repro.crawler.ObservationStore`, so it is
+neither encoded nor decoded; the run ledger encodes it only to
+journal it.  The dispatching crawler folds either form with
+:meth:`~repro.crawler.ObservationStore.merge`.
 
 Each interpreter keeps a small cache of ecosystems keyed by a digest
 of the whole config: consecutive shards of the same study reuse one
@@ -41,6 +44,7 @@ from typing import Dict, Optional, Tuple
 from ..canonical import canonical_digest
 from ..config import ScenarioConfig
 from ..errors import InjectedFault, InjectedShardTimeout, InjectedWorkerCrash
+from ..obs import Instruments
 from ..webgen import WebEcosystem
 from .faults import CRASH, TIMEOUT, FaultPlan
 
@@ -76,7 +80,9 @@ class ShardTask:
         database: Vulnerability database; ``None`` means the default.
         shard_index: Position in the dispatch plan (fold order).
         attempt: Zero-based retry attempt this task represents.
-        backend_name: Backend executing the task (error diagnostics).
+        backend_name: Backend executing the task.  It names the backend
+            in diagnostics, and picks the form of the payload's store:
+            codec bytes for ``"process"``, the live store otherwise.
         fault_plan: Chaos schedule; ``None`` runs fault-free.
     """
 
@@ -143,13 +149,35 @@ def _ecosystem_for(config: ScenarioConfig) -> WebEcosystem:
     return ecosystem
 
 
+def _shard_outcome_fields(instruments: Instruments, cells: int) -> dict:
+    """The outcome facts a completed shard's span event carries.
+
+    Integer facts only: they feed the canonical ``planner`` cost
+    profile (``cells``/``pages``/``failures``/``cache_misses``/
+    ``scripts`` are the cost-model inputs), so they must be exactly
+    deterministic — wall time travels separately as the event's
+    non-canonical ``duration_us``.
+    """
+    scripts = instruments.histograms.get("page.scripts")
+    return {
+        "pages": instruments.counter("crawl.pages"),
+        "failures": instruments.counter("crawl.fetch_failures"),
+        "cache_hits": instruments.counter("cache.hits"),
+        "cache_misses": instruments.counter("cache.misses"),
+        "cells": int(cells),
+        "scripts": scripts.total if scripts is not None else 0,
+    }
+
+
 def execute_shard(task: ShardTask) -> Dict[str, object]:
     """Crawl one shard into a fresh store and return its payload.
 
     Returns:
-        ``{"store": <store_to_bytes blob>, "pages": int,
-        "failures": int, "cache_hits": int, "cache_misses": int,
-        "metrics": <Instruments.to_payload dict>}``.  The metrics are
+        ``{"store": <store>, "pages": int, "failures": int,
+        "cache_hits": int, "cache_misses": int,
+        "metrics": <Instruments.to_payload dict>}``, where the store is
+        :func:`~repro.crawler.persistence.store_to_bytes` bytes on the
+        process backend and the live store otherwise.  The metrics are
         captured here, in-worker, alongside the shard's store — they
         ride the same payload through the journal and the dispatch
         fold, which is what makes the folded telemetry identical for
@@ -215,8 +243,6 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
     # a replayed shard reports the attempts it originally cost.  The
     # integer fields feed the canonical cost profile; the wall duration
     # rides along as a diagnostic (benchmark spread), never canonical.
-    from ..crawler.crawl import _shard_outcome_fields
-
     instruments.event(
         "shard",
         status="ok",
@@ -232,7 +258,9 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
     instruments.inc("shards.completed")
     return {
         "ok": True,
-        "store": store_to_bytes(store),
+        "store": (
+            store_to_bytes(store) if task.backend_name == "process" else store
+        ),
         "pages": instruments.counter("crawl.pages"),
         "failures": instruments.counter("crawl.fetch_failures"),
         "cache_hits": instruments.counter("cache.hits"),

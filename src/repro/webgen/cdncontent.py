@@ -39,11 +39,6 @@ def official_content(library: str, version: str) -> bytes:
     return body.encode("utf-8")
 
 
-def official_hash(library: str, version: str) -> str:
-    """SHA-256 hex digest of the official file body."""
-    return hashlib.sha256(official_content(library, version)).hexdigest()
-
-
 def whitespace_variant(library: str, version: str, flavor: int = 0) -> bytes:
     """A benign locally-modified copy (extra newlines / edited comment).
 

@@ -246,6 +246,25 @@ class TestOrchestrateContract:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "format 1" in lines[0]
 
+    @pytest.mark.parametrize(
+        "job_id", [None, ["crawl-000"], {"id": "crawl-000"}],
+        ids=["null", "list", "dict"],
+    )
+    def test_malformed_job_list_exits_2(self, tmp_path, capsys, job_id):
+        queue_dir = tmp_path / "q"
+        run = ["orchestrate", "run", "--queue-dir", str(queue_dir), *self._FLAGS]
+        assert main(run) == 0
+        manifest = queue_dir / "queue.json"
+        document = json.loads(manifest.read_text())
+        document["jobs"][0]["job_id"] = job_id
+        manifest.write_text(json.dumps(document, sort_keys=True))
+        capsys.readouterr()
+        for argv in (["orchestrate", "status", "--queue-dir", str(queue_dir)], run):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "job_id must be a string" in err
+
     def test_degraded_but_complete_exits_0_with_stderr_report(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -9,8 +9,8 @@ verdict is kept per process.  These tests count probe fetches:
 * another seed, scenario pack or threshold probes again, and the
   memo keeps at most eight verdicts;
 * a network that is not pristine — request ordinals consumed by a
-  direct-path crawl, or a transport surge — is probed for real, and
-  gets what the probe without the memo returns.
+  crawl over it, or a transport surge — is probed for real, and gets
+  what the probe without the memo returns.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro import Study
 from repro.config import AccessibilityConfig, IncrementalConfig, ScenarioConfig
-from repro.crawler import filtering
+from repro.crawler import Crawler, filtering
 from repro.crawler.fetch import Fetcher
 from repro.crawler.filtering import AccessibilityFilter
 from repro.crawler.persistence import store_to_bytes
@@ -158,11 +158,18 @@ def test_explicit_threshold_is_part_of_the_key(fetches):
 def _second_run_reports(monkeypatch, memo_max: int):
     monkeypatch.setattr(filtering, "_VERDICT_CACHE_MAX", memo_max)
     study = Study(_FLAKY, mode="full")
-    first = study.run(weeks=_FLAKY.calendar.last_month())
-    # The direct-path crawl consumed request ordinals of the probed
-    # weeks: the second probe starts from another failure schedule.
-    # The second run crawls the four weeks before the last month, since
-    # a Study refuses weeks it has already crawled.
+    month = _FLAKY.calendar.last_month()
+    first = study.run(weeks=month)
+    # A study's shards crawl the worker's own ecosystem, so its probed
+    # network stays pristine.  A block crawled straight over it
+    # consumes request ordinals of the probed weeks: the second probe
+    # starts from another failure schedule.  The second run crawls the
+    # four weeks before the last month, since a Study refuses weeks it
+    # has already crawled.
+    assert study.ecosystem.network.is_pristine()
+    Crawler(study.ecosystem).crawl_block(
+        month, study.ecosystem.population.domains
+    )
     assert not study.ecosystem.network.is_pristine()
     second = study.run(weeks=_FLAKY.calendar.weeks[-8:-4])
     return first.filter_report, second.filter_report, second.pages_collected

@@ -372,8 +372,8 @@ class TestMetricsIdentity:
     def test_canonical_document_identical_across_backends(self):
         """Fixed (plan, cache): every backend exports the same bytes.
 
-        Includes the direct serial path (one shard, no dispatch), which
-        must mirror a one-worker dispatched run exactly.
+        Includes one-worker serial plans, whose one shard runs in this
+        process and hands its live store to the fold.
         """
 
         def prop(rng, seed):
@@ -623,8 +623,8 @@ class TestWindowExtension:
     Consecutive week windows, each crawled by a fresh ``Study`` seeded
     with the decoded store of the window before (as the orchestrator's
     crawl job extends its base), must end in the bytes of one ``Study``
-    crawling their union: windows are independent, on the direct path
-    and on a checkpointed sharded plan alike.
+    crawling their union: windows are independent, on a one-shard plan
+    and on a checkpointed two-shard plan alike.
     """
 
     @staticmethod

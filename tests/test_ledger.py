@@ -503,6 +503,36 @@ class TestManifest:
         assert not restored.mismatches(manifest)
         assert [s.index for s in restored.shards()] == [s.index for s in shards]
 
+    @pytest.mark.parametrize(
+        "weeks, domains, workers, shard_size, weighted",
+        [
+            (4, 40, 2, _SHARD_SIZE, False),
+            (4, 40, 3, 0, True),
+            (201, 7, 1, 50, True),
+            (3, 2, 8, 0, False),
+            (0, 40, 2, 0, False),
+            (4, 0, 2, 0, False),
+        ],
+    )
+    def test_every_planned_plan_partitions_its_grid(
+        self, weeks, domains, workers, shard_size, weighted
+    ):
+        from repro.runtime import CostModel, plan_shards
+
+        model = None
+        if weighted:  # uneven costs reorder the plan longest-first
+            model = CostModel(tuple(1 + d % 5 for d in range(domains)))
+        manifest = RunManifest.build(
+            config=_CONFIG,
+            mode="manifest",
+            fault_plan=None,
+            week_ordinals=tuple(range(weeks)),
+            domain_names=tuple(f"d{i}.example" for i in range(domains)),
+            shards=plan_shards(weeks, domains, workers, shard_size, model),
+            store_format=1,
+        )
+        assert manifest.plan_problem() is None
+
 
 _KILL_SCRIPT = """
 import os, sys
@@ -651,6 +681,51 @@ class TestCliCheckpointFlags:
         err = capsys.readouterr().err
         assert "0 executed" in err
         assert ref.read_bytes() == resumed.read_bytes()
+
+    _PLAN_ARGS = [
+        "run",
+        "--population", "30",
+        "--weeks", "2",
+        "--workers", "2",
+        "--backend", "serial",
+    ]
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "covered-twice", "string-index"]
+    )
+    def test_resume_refuses_a_plan_that_does_not_partition_the_grid(
+        self, tmp_path, capsys, damage
+    ):
+        """A resume adopts the stored plan, so it must cover each
+        (week, domain) cell of the live grid exactly once."""
+        from repro.cli import main
+
+        root = tmp_path / "ledger"
+        assert main(self._PLAN_ARGS + ["--checkpoint-dir", str(root)]) == 0
+        document = json.loads((root / "manifest.json").read_text())
+        plan = document["shard_plan"]
+        assert [row[:5] for row in plan] == [[0, 0, 2, 0, 10], [1, 0, 2, 10, 10]]
+        if damage == "truncated":  # week 0 of the first 10 domains only
+            plan[:] = [[0, 0, 1, 0, 10, plan[0][5].replace("0-1", "0-0")]]
+        elif damage == "covered-twice":  # the first 10 domains twice
+            plan.append([2] + plan[0][1:])
+        else:
+            plan[0][0] = "0"
+        (root / "manifest.json").write_text(json.dumps(document))
+        for entry in _journal_entries(root):
+            entry.unlink()
+        capsys.readouterr()
+        saved = tmp_path / "resumed.bin"
+        code = main(
+            self._PLAN_ARGS
+            + ["--checkpoint-dir", str(root), "--resume"]
+            + ["--save-store", str(saved)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "shard_plan" in err
+        assert not saved.exists()
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         from repro.cli import main

@@ -753,10 +753,16 @@ class TestStoreHandover:
         self, tmp_path, monkeypatch
     ):
         plan = _plan(ticks=3)
-        calls = count_calls(monkeypatch, (persistence, "load_store"))
+        calls = count_calls(
+            monkeypatch,
+            (persistence, "load_store"),
+            (persistence, "store_from_bytes"),
+        )
         records = Orchestrator(tmp_path / "shared", plan).run()
         assert all(r.state == DONE for r in records.values())
-        assert calls["load_store"] == 0
+        # No store file is read, and each crawl's serial shards hand
+        # their live stores to the fold: no store is decoded at all.
+        assert calls == {"load_store": 0, "store_from_bytes": 0}
         # The same plan job by job, each on a fresh runner: every store
         # read decodes the file (3 analyses, 3 serve, 2 crawl bases),
         # and every artifact is byte-identical.

@@ -4,7 +4,7 @@
   dataset — tick *t* reads the generations of ticks *t-1 .. 0* and
   writes its own, as the orchestrator's crawl jobs do — record
   exactly these ``profile_store`` counters and save exactly these
-  stores, on the direct serial path and on multi-shard plans alike.
+  stores, on one-shard and multi-shard plans alike.
   Each tick here crawls from week 0 (an orchestrator tick crawls only
   the weeks after its base's), so every tick looks up profiles its
   predecessors built.
@@ -140,7 +140,7 @@ class TestLayout:
         ]
         assert not (held[0] & held[1] or held[0] & held[2] or held[1] & held[2])
         for directory in generations:
-            # One block per tick on the direct path: one segment, named
+            # One block per tick on a one-shard plan: one segment, named
             # after the sha256 of its bytes, beside the marker.
             (segment,) = _segments(directory)
             assert segment.name == (

@@ -121,21 +121,26 @@ class TestPersistence:
         assert json.dumps(store_to_dict(store))
 
     def test_backwards_trajectory_is_a_typed_store_error(self):
-        # Weeks crawled out of calendar order — the last month, then the
-        # four weeks before it: sites that changed version between the
-        # two windows record a change at an earlier week than their
-        # last one.
-        from repro import ScenarioConfig, Study
+        # Two blocks crawled into one store out of calendar order — the
+        # last month, then the four weeks before it: sites that changed
+        # version between the two windows record a change at an earlier
+        # week than their last one.  (A Study merges each run's shards,
+        # so it never builds such a store.)
+        from repro import ScenarioConfig
+        from repro.crawler import Crawler
         from repro.crawler.persistence import store_to_bytes
+        from repro.webgen import WebEcosystem
 
-        study = Study(ScenarioConfig(population=60, seed=21), mode="manifest")
-        month = study.config.calendar.last_month()
-        earlier = study.config.calendar.weeks[-8:-4]
-        study.run(weeks=month)
-        store_to_bytes(study.store)  # one pass encodes
-        study.run(weeks=earlier)
+        config = ScenarioConfig(population=60, seed=21)
+        crawler = Crawler(WebEcosystem(config), mode="manifest")
+        domains = crawler.ecosystem.population.domains
+        month = config.calendar.last_month()
+        earlier = config.calendar.weeks[-8:-4]
+        crawler.crawl_block(month, domains)
+        store_to_bytes(crawler.store)  # one pass encodes
+        crawler.crawl_block(earlier, domains)
         with pytest.raises(StoreError) as caught:
-            store_to_bytes(study.store)
+            store_to_bytes(crawler.store)
         found = re.fullmatch(
             r"site rank (\d+): the (.+) trajectory runs backwards "
             r"\(week (\d+) recorded after week (\d+)\)",
@@ -143,8 +148,8 @@ class TestPersistence:
         )
         assert found, caught.value.message
         rank, subject, week, previous = found.groups()
-        assert int(rank) in study.store.observed_domains
-        assert subject == "WordPress" or subject in study.store.symbols.library.symbols
+        assert int(rank) in crawler.store.observed_domains
+        assert subject == "WordPress" or subject in crawler.store.symbols.library.symbols
         assert earlier[0].ordinal <= int(week) <= earlier[-1].ordinal
         assert month[0].ordinal <= int(previous) <= month[-1].ordinal
 
@@ -264,6 +269,14 @@ class TestCli:
         from repro.cli import main
 
         assert main(["run", "--population", "60", "--weeks", "0"]) == 2
+
+    def test_run_invalid_population(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "--population", "0", "--weeks", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: population must be positive\n"
+        assert captured.out == ""
 
     def test_run_with_fault_plan_reports_degradation(self, capsys):
         from repro.cli import main
