@@ -30,8 +30,7 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         ".advisor.scanner": "SiteScanner",
-        ".config": "AccessibilityConfig BehaviorMix ExecutionConfig "
-        "FlashConfig IncrementalConfig ObservabilityConfig PlatformConfig "
+        ".config": "AccessibilityConfig BehaviorMix FlashConfig PlatformConfig "
         "ScenarioConfig SecurityHygieneConfig default_scenario small_scenario",
         ".core.results": "StudyResults",
         ".core.study": "Study",
@@ -53,9 +52,6 @@ __all__ = [
     "StudyResults",
     "SiteScanner",
     "ScenarioConfig",
-    "ExecutionConfig",
-    "IncrementalConfig",
-    "ObservabilityConfig",
     "RunOptions",
     "ExecutionOptions",
     "ResilienceOptions",

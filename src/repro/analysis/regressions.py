@@ -50,10 +50,6 @@ class RegressionResult:
     def downgrade_count(self) -> int:
         return len(self.regressions)
 
-    @property
-    def security_regression_count(self) -> int:
-        return sum(1 for r in self.regressions if r.is_security_regression)
-
     def by_library(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for regression in self.regressions:

@@ -42,10 +42,6 @@ class AdvisoryDelay:
     mean_delay_days: Optional[float]
     median_delay_days: Optional[float]
 
-    @property
-    def at_risk_sites(self) -> int:
-        return self.updated_sites + self.censored_sites
-
 
 @dataclasses.dataclass
 class DelayResult:

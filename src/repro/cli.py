@@ -125,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    execution = study.config.execution
+    execution = study.options.execution
     lookups = report.cache_hits + report.cache_misses
     cache_note = (
         f", profile cache {report.cache_hits:,}/{lookups:,} hits "

@@ -1,9 +1,10 @@
 """Scenario configuration for the synthetic web ecosystem.
 
-A :class:`ScenarioConfig` fully determines a run: population size, seed,
-calendar, developer-behaviour mix, platform penetration, and the
+A :class:`ScenarioConfig` fully determines a dataset: population size,
+seed, calendar, developer-behaviour mix, platform penetration, and the
 accessibility model.  Two configs with equal fields produce identical
-datasets.
+datasets.  How a run executes is not part of it: that is
+:class:`~repro.options.RunOptions`.
 
 The defaults are calibrated so that percentage-level statistics match the
 paper (Tables 1/2, Figures 2-15); absolute counts scale linearly with
@@ -15,7 +16,7 @@ while preserving every rate and trend shape.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .canonical import canonical_digest
 from .errors import ConfigError
@@ -282,154 +283,6 @@ class SecurityHygieneConfig:
     github_hosted_share: float = 0.00214
 
 
-#: Backend names accepted by :class:`ExecutionConfig`.  ``auto`` resolves
-#: to ``serial`` for one worker and ``process`` otherwise.
-EXECUTION_BACKENDS = ("auto", "serial", "process")
-
-
-@dataclasses.dataclass(frozen=True)
-class ExecutionConfig:
-    """How the crawl is *executed* — sharding and parallelism knobs.
-
-    Execution settings never change the dataset: the same seed yields
-    bit-identical aggregates on every backend and worker count (the
-    runtime layer's determinism guarantee, enforced by tests).
-
-    Failure handling: a failed shard is retried up to
-    ``max_shard_retries`` times with bounded exponential backoff (on a
-    simulated clock — no wall-clock sleeps).  After retries are
-    exhausted, ``on_shard_failure`` decides the outcome: ``"raise"``
-    aborts with a shard-identified error, ``"degrade"`` drops the shard
-    and records it in the crawl report.  Faults injected by a
-    :class:`~repro.runtime.FaultPlan` always degrade — planned chaos is
-    an experiment, not a bug.
-
-    Durability: with ``checkpoint_dir`` set, the crawl keeps a run
-    ledger there — a versioned manifest plus a write-ahead journal of
-    every completed shard payload — and ``resume=True`` replays the
-    journal and re-executes only the missing shards.  Like every other
-    execution knob this never changes the dataset: a killed-and-resumed
-    run persists byte-identically to an uninterrupted one.
-
-    Adaptive planning: ``plan_from`` points at a previous run's
-    canonical metrics document (``--metrics-out``); the planner reads
-    its per-shard cost profile and places shard boundaries so every
-    shard carries near-equal *estimated work* instead of near-equal
-    cell counts.  The weighted plan is still an exact partition of the
-    same grid, is recorded in the run manifest exactly like a uniform
-    one, and — like every execution knob — cannot change a byte of the
-    dataset.
-
-    Attributes:
-        backend: ``auto``, ``serial``, or ``process``.
-        workers: Worker count; the ``process`` backend runs that many
-            shards at once, ``serial`` runs the same plan in turn.
-        shard_size: Upper bound on ``weeks × domains`` cells per shard;
-            ``0`` picks one shard per worker.
-        max_shard_retries: Re-dispatch attempts per failed shard.
-        on_shard_failure: ``"raise"`` or ``"degrade"`` (see above).
-        checkpoint_dir: Run-ledger directory; ``None`` disables
-            checkpointing.
-        resume: Resume the run recorded in ``checkpoint_dir`` (requires
-            ``checkpoint_dir``; refuses with a typed error when the
-            recorded manifest does not match this run's configuration).
-        plan_from: Path to a previous run's canonical metrics document;
-            ``None`` plans uniform shards.
-    """
-
-    backend: str = "auto"
-    workers: int = 1
-    shard_size: int = 0
-    max_shard_retries: int = 2
-    on_shard_failure: str = "raise"
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
-    plan_from: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r}; "
-                f"expected one of {', '.join(EXECUTION_BACKENDS)}"
-            )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.shard_size < 0:
-            raise ConfigError("shard_size must be >= 0 (0 = auto)")
-        if self.max_shard_retries < 0:
-            raise ConfigError("max_shard_retries must be >= 0")
-        if self.on_shard_failure not in ("raise", "degrade"):
-            raise ConfigError(
-                f"on_shard_failure must be 'raise' or 'degrade', "
-                f"got {self.on_shard_failure!r}"
-            )
-        if self.resume and not self.checkpoint_dir:
-            raise ConfigError("resume=True requires checkpoint_dir")
-
-    @property
-    def resolved_backend(self) -> str:
-        """The concrete backend ``auto`` stands for."""
-        if self.backend != "auto":
-            return self.backend
-        return "serial" if self.workers == 1 else "process"
-
-
-@dataclasses.dataclass(frozen=True)
-class IncrementalConfig:
-    """Incremental-crawl knobs — like execution, never changes the data.
-
-    The crawler keeps a per-shard, content-addressed profile cache: a
-    domain-week whose site state is identical to the previously crawled
-    week reuses the cached :class:`~repro.fingerprint.PageProfile`
-    instead of re-rendering and re-fingerprinting the page.  Cache hits
-    produce bit-identical stores to cache-off runs (enforced by tests),
-    so the only reason to disable it is measurement of the cache itself.
-
-    A second, cross-run layer — the content-addressed
-    :class:`~repro.crawler.profilestore.ProfileStore` — lets a fleet of
-    chained runs share built profiles.  A beat tick crawls only the
-    weeks after its predecessor's, and most of its sites still serve
-    the pages the predecessor built profiles for.  Each run reads the
-    immutable generations of its predecessors and writes the profiles
-    none of them had into its own generation directory, one checksummed
-    segment per crawl shard (manifest mode only; see the module
-    docstring for why that keeps canonical metrics deterministic).
-
-    Attributes:
-        profile_cache: Reuse profiles across unchanged weeks.
-        profile_store_read: Predecessor generation directories to
-            consult on in-run cache misses, most recent first.
-        profile_store_write: This run's own generation directory for
-            the profiles no predecessor had (``None`` disables
-            writes).
-    """
-
-    profile_cache: bool = True
-    profile_store_read: Tuple[str, ...] = ()
-    profile_store_write: Optional[str] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class ObservabilityConfig:
-    """Observability knobs — like execution, never changes the data.
-
-    The crawl always keeps the core counters the report is built from
-    (pages, failures, cache, dispatch accounting); ``metrics`` gates the
-    *detailed* instrumentation layered on top — fixed-bucket histograms,
-    per-shard span events, fetch/fingerprint counters, and phase wall
-    timers (see :mod:`repro.obs`).  Detailed metrics are deterministic:
-    the canonical document is byte-identical across backends, worker
-    counts, and kill/resume, so the only reason to disable them is
-    measuring their own overhead (``tests/test_obs.py`` pins that
-    overhead as counted calls).
-
-    Attributes:
-        metrics: Collect detailed instrumentation (default on).
-    """
-
-    metrics: bool = True
-
-
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """Everything that determines one synthetic four-year dataset."""
@@ -452,16 +305,6 @@ class ScenarioConfig:
     #: Which scenario pack produced this config (part of dataset identity).
     pack: PackSelection = dataclasses.field(default_factory=PackSelection)
     calendar: StudyCalendar = dataclasses.field(default_factory=default_calendar)
-    #: Execution knobs only — never affects the produced dataset.
-    execution: ExecutionConfig = dataclasses.field(default_factory=ExecutionConfig)
-    #: Incremental-crawl knobs only — never affects the produced dataset.
-    incremental: IncrementalConfig = dataclasses.field(
-        default_factory=IncrementalConfig
-    )
-    #: Observability knobs only — never affects the produced dataset.
-    observability: ObservabilityConfig = dataclasses.field(
-        default_factory=ObservabilityConfig
-    )
 
     def __post_init__(self) -> None:
         if self.population <= 0:
@@ -474,24 +317,18 @@ class ScenarioConfig:
 
 
 def scenario_digest(config: ScenarioConfig) -> str:
-    """Digest of everything in the config that determines the dataset.
+    """Digest of the dataset ``config`` determines: every field of it.
 
-    Execution, incremental, and observability knobs are normalized away
-    first — they can never change a byte (the runtime determinism
-    contract), so resuming with different workers, backend, shard size,
-    cache, or metrics settings is legal and produces the identical
-    store.  The digest hashes canonical JSON of the declared field
-    values, never pickle bytes, so it survives module renames and
+    How a run executes — workers, backend, shards, caches, checkpoints,
+    metrics — lives on :class:`~repro.options.RunOptions`, never here,
+    so resuming under other run options is legal and produces the
+    identical store.  The digest hashes canonical JSON of the declared
+    field values, never pickle bytes, so it survives module renames and
     interpreter upgrades.  The run ledger pins runs with it, and the
-    web generator keys its per-process site-state cache on it.
+    web generator and the shard worker key their per-process caches on
+    it.
     """
-    normalized = dataclasses.replace(
-        config,
-        execution=ExecutionConfig(),
-        incremental=IncrementalConfig(),
-        observability=ObservabilityConfig(),
-    )
-    return canonical_digest(normalized)
+    return canonical_digest(config)
 
 
 def small_scenario(seed: int = 20230926) -> ScenarioConfig:

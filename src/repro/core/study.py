@@ -37,7 +37,6 @@ from ..durable import atomic_write_bytes
 from ..errors import AnalysisError
 from ..options import RunOptions
 from ..poclab import ValidationLab
-from ..runtime.faults import FaultPlan
 from ..vulndb import (
     MatchMode,
     VersionMatcher,
@@ -56,12 +55,12 @@ class Study:
         database: Vulnerability database override (defaults to the
             paper's Table 2/4 + Flash data).
         mode: ``"manifest"`` (fast) or ``"full"`` (HTTP + fingerprint).
-        options: Typed run options (:class:`~repro.RunOptions`),
+        options: How the study runs (:class:`~repro.RunOptions`),
             grouped by concern — execution (workers, backend, shard
             size, profile cache), resilience (fault plan, retries,
             failure policy), durability (checkpoint dir, resume), and
-            observability (detailed metrics, ``metrics_out``).  Every
-            field defaults to "inherit from the scenario config".
+            observability (detailed metrics, ``metrics_out``).  They
+            never touch ``config``: no option changes the dataset.
     """
 
     def __init__(
@@ -72,7 +71,7 @@ class Study:
         options: Optional[RunOptions] = None,
     ) -> None:
         self.options = options if options is not None else RunOptions()
-        self.config = self.options.apply_to(config or default_scenario())
+        self.config = config or default_scenario()
         self.database = database or default_database()
         if self.config.cve_drift.enabled:
             # Scenario-pack drift is dataset identity: the matcher built
@@ -83,7 +82,6 @@ class Study:
             self.database = drifted_database(self.database, self.config.cve_drift)
         self.matcher = VersionMatcher(self.database)
         self.mode = mode
-        self.fault_plan: Optional[FaultPlan] = self.options.resilience.fault_plan
         self.ecosystem = WebEcosystem(self.config)
         self.store = ObservationStore(self.config.calendar, self.matcher)
         self._crawl_report: Optional[CrawlReport] = None
@@ -111,7 +109,7 @@ class Study:
             self.ecosystem,
             store=self.store,
             mode=self.mode,
-            fault_plan=self.fault_plan,
+            options=self.options,
         )
         self._crawl_report = crawler.run(weeks=weeks)
         metrics_out = self.options.observability.metrics_out

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..config import ExecutionConfig, IncrementalConfig, ScenarioConfig
 from ..errors import ConfigError, CrawlError
 from ..obs import (
     LIBRARIES_PER_PAGE_EDGES,
@@ -33,9 +32,9 @@ from ..fingerprint import (
     ScriptAccess,
     default_cdn_catalog,
 )
+from ..options import RunOptions
 from ..runtime.backends import describe_backend, get_backend
 from ..runtime.dispatch import backoff_delay, dispatch_shards
-from ..runtime.faults import FaultPlan
 from ..runtime.ledger import JournalingRunner, RunLedger, RunManifest
 from ..runtime.sharding import CostModel, plan_shards
 from ..runtime.worker import ShardTask, shard_coverage_key
@@ -264,20 +263,12 @@ class Crawler:
             :meth:`crawl_block`; manifest mode builds none and reads
             only a CDN catalog.
         apply_filter: Run the paper's accessibility prefilter.
-        execution: Sharding/backend override; defaults to the scenario
-            config's ``execution`` section.
-        incremental: Profile-cache override; defaults to the scenario
-            config's ``incremental`` section.
-        fault_plan: Deterministic chaos schedule
-            (:class:`~repro.runtime.FaultPlan`); ``None`` runs
-            fault-free.  Injected faults fire at the shard boundary,
-            so they behave identically on every backend.
-        checkpoint_dir: Run-ledger directory for durable runs; defaults
-            to the execution config's ``checkpoint_dir`` (``None``
-            disables checkpointing).
-        resume: Resume the run recorded in ``checkpoint_dir``: replay
-            its journaled shard payloads and execute only the missing
-            shards.  Defaults to the execution config's ``resume``.
+        options: How the crawl runs (:class:`~repro.RunOptions`):
+            sharding and caches, the fault plan (injected faults fire
+            at the shard boundary, so they behave identically on every
+            backend), the run ledger, and detailed metrics.  Every
+            shard task carries them to its worker.  Defaults to
+            ``RunOptions()``.
     """
 
     def __init__(
@@ -286,11 +277,7 @@ class Crawler:
         store: Optional[ObservationStore] = None,
         mode: str = "full",
         apply_filter: bool = True,
-        execution: Optional[ExecutionConfig] = None,
-        incremental: Optional[IncrementalConfig] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: Optional[bool] = None,
+        options: Optional[RunOptions] = None,
     ) -> None:
         if mode not in ("full", "manifest"):
             raise CrawlError(f"unknown crawl mode {mode!r}")
@@ -307,17 +294,7 @@ class Crawler:
         self.store = store
         self.mode = mode
         self.apply_filter = apply_filter
-        self.execution = execution or ecosystem.config.execution
-        self.incremental = incremental or ecosystem.config.incremental
-        self.fault_plan = fault_plan
-        self.checkpoint_dir = (
-            str(checkpoint_dir)
-            if checkpoint_dir is not None
-            else self.execution.checkpoint_dir
-        )
-        self.resume = resume if resume is not None else self.execution.resume
-        if self.resume and not self.checkpoint_dir:
-            raise CrawlError("resume=True requires a checkpoint_dir")
+        self.options = options if options is not None else RunOptions()
         #: (plan_source, plan_from_digest) of the most recent plan —
         #: manifest provenance; refreshed by every :meth:`run`.
         self._plan_provenance = ("uniform", "none")
@@ -372,9 +349,9 @@ class Crawler:
         only probed, never crawled.  Results are bit-identical across
         backends and worker counts.
 
-        With :attr:`checkpoint_dir` set the run is durable: completed
-        shard payloads are journaled write-ahead (see
-        :mod:`repro.runtime.ledger`), and with :attr:`resume` true the
+        With ``options.durability.checkpoint_dir`` set the run is
+        durable: completed shard payloads are journaled write-ahead (see
+        :mod:`repro.runtime.ledger`), and with ``resume`` true the
         journal is replayed — verified against the recorded manifest —
         so only the missing shards execute.  A killed-and-resumed run
         produces a byte-identical store to an uninterrupted one.
@@ -400,9 +377,7 @@ class Crawler:
                 f"(crawl each week once, or start a new Study)"
             )
 
-        instruments = Instruments(
-            enabled=ecosystem.config.observability.metrics
-        )
+        instruments = Instruments(enabled=self.options.observability.metrics)
         filter_report: Optional[FilterReport] = None
         retained: Optional[Set[str]] = None
         with instruments.span("plan"):
@@ -421,7 +396,7 @@ class Crawler:
                 if retained is None or d.name in retained
             ]
 
-            execution = self.execution
+            execution = self.options.execution
             cost_model = None
             self._plan_provenance = ("uniform", "none")
             if execution.plan_from:
@@ -468,15 +443,16 @@ class Crawler:
         backend) is preserved by construction.
 
         Returns the block's :class:`~repro.obs.Instruments` (the one
-        passed in, or a fresh one honouring the scenario's observability
-        config): ``crawl.pages``/``crawl.fetch_failures``/``cache.*``
+        passed in, or a fresh one honouring the run's observability
+        options): ``crawl.pages``/``crawl.fetch_failures``/``cache.*``
         counters always, plus per-page histograms and fetch/fingerprint
         instrumentation when detailed metrics are enabled.
         """
         ecosystem = self.ecosystem
+        execution = self.options.execution
         ins = instruments
         if ins is None:
-            ins = Instruments(enabled=ecosystem.config.observability.metrics)
+            ins = Instruments(enabled=self.options.observability.metrics)
         # Stable document shape: the core counters exist even at zero.
         ins.inc("crawl.pages", 0)
         ins.inc("crawl.fetch_failures", 0)
@@ -485,7 +461,7 @@ class Crawler:
         if self.engine is not None:
             self.engine.instruments = detail
         threshold = ecosystem.config.accessibility.empty_page_threshold
-        cache = ProfileCache(enabled=self.incremental.profile_cache)
+        cache = ProfileCache(enabled=execution.profile_cache)
         # Cross-run generation store (manifest mode only): consulted on
         # in-run cache misses, fed with the profiles this block had to
         # build, and written as one segment when the block ends.  Reads
@@ -494,7 +470,7 @@ class Crawler:
         # of shard execution order, backend, and worker count.
         pstore = None
         if self.mode == "manifest":
-            pstore = ProfileStore.from_incremental(self.incremental)
+            pstore = ProfileStore.from_options(execution)
         for week in weeks:
             ecosystem.set_week(week.ordinal)
             for domain in domains:
@@ -613,20 +589,17 @@ class Crawler:
         """
         from .persistence import BINARY_FORMAT_VERSION, store_from_bytes
 
-        # Workers rebuild their crawler from the config, so explicit
-        # incremental overrides must travel inside it.
         config = self.ecosystem.config
-        if self.incremental != config.incremental:
-            config = dataclasses.replace(config, incremental=self.incremental)
-
+        options = self.options
+        durability = options.durability
         ledger = scan = None
-        if self.checkpoint_dir is not None:
-            ledger = RunLedger(self.checkpoint_dir)
+        if durability.checkpoint_dir is not None:
+            ledger = RunLedger(durability.checkpoint_dir)
             plan_source, plan_from_digest = self._plan_provenance
             manifest = RunManifest.build(
                 config=config,
                 mode=self.mode,
-                fault_plan=self.fault_plan,
+                fault_plan=options.resilience.fault_plan,
                 week_ordinals=tuple(w.ordinal for w in target_weeks),
                 domain_names=tuple(d.name for d in domains),
                 shards=shards,
@@ -637,7 +610,7 @@ class Crawler:
                 plan_source=plan_source,
                 plan_from_digest=plan_from_digest,
             )
-            scan = ledger.open(manifest, resume=self.resume)
+            scan = ledger.open(manifest, resume=durability.resume)
             if scan.resumed:
                 # The stored plan is authoritative: journal entries are
                 # per-shard of *that* plan, and fault draws are pure in
@@ -678,7 +651,7 @@ class Crawler:
                     database=self.store.matcher.database,
                     shard_index=shard.index,
                     backend_name=backend_name,
-                    fault_plan=self.fault_plan,
+                    options=options,
                 )
             )
         pending = [
@@ -690,15 +663,15 @@ class Crawler:
             run_task = JournalingRunner(ledger.root)
 
         backend = get_backend(backend_name, workers)
-        execution = self.execution
+        resilience = options.resilience
         dispatch_kwargs = {} if run_task is None else {"run_task": run_task}
         ins = instruments
         with ins.span("dispatch"):
             outcome = dispatch_shards(
                 backend,
                 pending,
-                max_retries=execution.max_shard_retries,
-                on_failure=execution.on_shard_failure,
+                max_retries=resilience.max_shard_retries,
+                on_failure=resilience.on_shard_failure,
                 instruments=ins,
                 **dispatch_kwargs,
             )

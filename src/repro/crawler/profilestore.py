@@ -170,15 +170,15 @@ class ProfileStore:
         self._last_miss: Optional[Tuple[str, int, SiteStateKey, str]] = None
 
     @classmethod
-    def from_incremental(cls, incremental) -> Optional["ProfileStore"]:
-        """Build a store from an :class:`~repro.config.IncrementalConfig`.
+    def from_options(cls, execution) -> Optional["ProfileStore"]:
+        """Build a store from :class:`~repro.options.ExecutionOptions`.
 
-        Returns ``None`` when the config names neither a write
+        Returns ``None`` when the options name neither a write
         generation nor read generations, so callers can keep the
         store-less path branch-free.
         """
-        write_dir = getattr(incremental, "profile_store_write", None)
-        read_dirs = getattr(incremental, "profile_store_read", ())
+        write_dir = execution.profile_store_write
+        read_dirs = execution.profile_store_read
         if not write_dir and not read_dirs:
             return None
         return cls(write_dir=write_dir, read_dirs=read_dirs)

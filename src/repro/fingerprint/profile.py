@@ -116,27 +116,15 @@ class PageProfile:
     def uses_flash(self) -> bool:
         return bool(self.flash_embeds) or "flash" in self.resource_types
 
-    @property
-    def library_names(self) -> FrozenSet[str]:
-        return frozenset(d.library for d in self.libraries)
-
     def detections_of(self, library: str) -> Tuple[LibraryDetection, ...]:
         wanted = library.lower()
         return tuple(d for d in self.libraries if d.library == wanted)
-
-    def versions_of(self, library: str) -> Tuple[str, ...]:
-        return tuple(
-            d.version for d in self.detections_of(library) if d.version is not None
-        )
 
     def external_without_integrity(self) -> Tuple[LibraryDetection, ...]:
         """External library inclusions missing the ``integrity`` attribute."""
         return tuple(
             d for d in self.libraries if d.external and not d.has_integrity
         )
-
-    def insecure_flash(self) -> Tuple[FlashEmbed, ...]:
-        return tuple(e for e in self.flash_embeds if e.insecure)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable summary (for the snapshot store)."""

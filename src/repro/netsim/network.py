@@ -161,9 +161,6 @@ class VirtualNetwork:
         self._hosts.pop(hostname, None)
         self.resolver.retire(hostname)
 
-    def host_for(self, hostname: str) -> Optional[VirtualHost]:
-        return self._hosts.get(hostname.lower())
-
     def __contains__(self, hostname: object) -> bool:
         return isinstance(hostname, str) and hostname.lower() in self._hosts
 

@@ -56,12 +56,6 @@ class Url:
         return f"{self.scheme}://{self.host}"
 
     @property
-    def effective_port(self) -> int:
-        if self.port is not None:
-            return self.port
-        return _DEFAULT_PORTS.get(self.scheme, 0)
-
-    @property
     def request_target(self) -> str:
         """Path plus query, as sent on the request line."""
         if self.query:
@@ -72,11 +66,6 @@ class Url:
     def filename(self) -> str:
         """The final path segment (may be empty)."""
         return self.path.rsplit("/", 1)[-1]
-
-    def with_path(self, path: str, query: str = "") -> "Url":
-        if not path.startswith("/"):
-            path = "/" + path
-        return dataclasses.replace(self, path=path, query=query, fragment="")
 
     def __str__(self) -> str:
         text = f"{self.origin}{self.path}"

@@ -669,8 +669,10 @@ def planner_profile(document: Mapping) -> dict:
 
     Returns the validated ``planner`` section: ``grid`` (the
     ``weeks``/``domains`` the profile was measured over), ``shards``
-    (one integer cost row per plan shard, keys
-    :data:`PLANNER_ROW_KEYS`), and the cost-model summary fields.
+    (one cost row per plan shard, keys :data:`PLANNER_ROW_KEYS`), and
+    the cost-model summary fields.  The grid sizes and every row value
+    are ints ``>= 0``; the document is untrusted input, so anything
+    else is refused here rather than coerced by the cost model.
 
     Raises:
         ConfigError: ``document`` is not a format-``METRICS_FORMAT``
@@ -696,11 +698,20 @@ def planner_profile(document: Mapping) -> dict:
         )
     grid = planner.get("grid")
     shards = planner.get("shards")
-    if not isinstance(grid, Mapping) or not isinstance(shards, list):
+    if (
+        not isinstance(grid, Mapping)
+        or not isinstance(shards, list)
+        or not all(_is_count(grid.get(key)) for key in ("weeks", "domains"))
+    ):
         raise ConfigError("metrics planner section is malformed")
     for row in shards:
-        if not isinstance(row, Mapping) or any(
-            not isinstance(row.get(key), int) for key in PLANNER_ROW_KEYS
+        if not isinstance(row, Mapping) or not all(
+            _is_count(row.get(key)) for key in PLANNER_ROW_KEYS
         ):
             raise ConfigError("metrics planner section is malformed")
     return dict(planner)
+
+
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is a planner count: an int >= 0, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -1,38 +1,43 @@
-"""Typed run options: one declaration drives ``Study`` *and* the CLI.
+"""Typed run options: the one home of every run knob.
 
-``Study.__init__`` had sprawled to eleven loose keyword arguments that
-``cli.py`` mirrored by hand — two lists that could silently drift.  This
-module replaces both with four small frozen dataclasses grouped by
-concern:
+A :class:`~repro.config.ScenarioConfig` says which dataset a run
+produces; a :class:`RunOptions` says how the run produces it, and no
+run knob lives anywhere else.  Four small frozen dataclasses group the
+knobs by concern:
 
 * :class:`ExecutionOptions` — sharding/parallelism (workers, backend,
-  shard size, profile cache);
+  shard size, adaptive plan, profile cache);
 * :class:`ResilienceOptions` — fault plan, retry budget, failure policy;
 * :class:`DurabilityOptions` — checkpoint directory, resume;
 * :class:`ObservabilityOptions` — detailed metrics, ``--metrics-out``.
 
-A :class:`RunOptions` bundles the four and is the one thing ``Study``
-accepts (``Study(options=RunOptions(...))``).  Every field that has a
-command-line spelling declares it *in its own field metadata* (via
+A :class:`RunOptions` bundles the four and is what ``Study`` and
+:class:`~repro.crawler.Crawler` accept (``options=RunOptions(...)``),
+and what every shard task carries to its worker.  Every field that has
+a command-line spelling declares it *in its own field metadata* (via
 :func:`opt`), and :func:`add_option_arguments` /
 :func:`options_from_namespace` derive the argparse argument groups and
 the namespace→options conversion from that single table — the CLI and
 the API cannot disagree, because there is only one declaration.
 
-All fields default to ``None`` ("inherit from the scenario config"),
-except booleans with a natural resting state (``resume=False``).
-Validation happens in each group's ``__post_init__`` with the same
-:class:`~repro.errors.ConfigError` messages the config layer uses.
+Every field has a concrete default, the value a run uses when the
+option is not given.  No option can change a byte of the dataset (the
+runtime determinism contract), so none is part of its identity.
+Validation happens in each group's ``__post_init__`` and raises
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .config import EXECUTION_BACKENDS, ScenarioConfig
 from .errors import ConfigError
 from .runtime.faults import FaultPlan
+
+#: Backend names :class:`ExecutionOptions` accepts.  ``auto`` resolves
+#: to ``serial`` for one worker and ``process`` otherwise.
+EXECUTION_BACKENDS = ("auto", "serial", "process")
 
 
 def opt(
@@ -48,7 +53,8 @@ def opt(
     """A dataclass field carrying its own CLI spelling.
 
     Args:
-        default: Field default (``None`` = inherit from the config).
+        default: Field default, the value used when the option is not
+            given.
         flag: Command-line flag, e.g. ``"--workers"``; omit for
             API-only fields.
         kind: ``"value"`` (flag takes an argument), ``"store_true"``
@@ -80,36 +86,39 @@ def _flag_dest(flag: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionOptions:
-    """How the crawl executes: sharding, parallelism, incremental cache.
+    """How the crawl executes: sharding, parallelism, profile caches.
 
     None of these can change a byte of the dataset (the runtime
-    determinism contract); they only change how fast it appears.
+    determinism contract); they only change how fast it appears.  The
+    two profile-store paths are API-only: the orchestrator fills them
+    for beat crawls, whose ticks share built profiles through the
+    cross-run :class:`~repro.crawler.profilestore.ProfileStore`.
     """
 
-    workers: Optional[int] = opt(
-        None,
+    workers: int = opt(
+        1,
         "--workers",
         type=int,
         metavar="N",
         help="shard the crawl across N workers (results are identical "
         "to a serial run)",
     )
-    backend: Optional[str] = opt(
-        None,
+    backend: str = opt(
+        "auto",
         "--backend",
         choices=EXECUTION_BACKENDS,
         help="execution backend for sharded crawls (auto = process "
         "when workers > 1)",
     )
-    shard_size: Optional[int] = opt(
-        None,
+    shard_size: int = opt(
+        0,
         "--shard-size",
         type=int,
         metavar="CELLS",
         help="max weeks*domains cells per shard (0 = one shard per worker)",
     )
-    profile_cache: Optional[bool] = opt(
-        None,
+    profile_cache: bool = opt(
+        True,
         "--no-profile-cache",
         kind="negate",
         help="disable the incremental profile cache (results are "
@@ -124,19 +133,32 @@ class ExecutionOptions:
         "(--metrics-out FILE) and place the domain cut points so every "
         "shard carries near-equal estimated work",
     )
+    #: Predecessor profile-store generation directories to consult on
+    #: in-run cache misses, most recent first.
+    profile_store_read: Tuple[str, ...] = ()
+    #: This run's own generation directory for the profiles no
+    #: predecessor had (``None`` disables writes).
+    profile_store_write: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.backend is not None and self.backend not in EXECUTION_BACKENDS:
+        if self.backend not in EXECUTION_BACKENDS:
             raise ConfigError(
                 f"unknown execution backend {self.backend!r}; "
                 f"expected one of {', '.join(EXECUTION_BACKENDS)}"
             )
-        if self.shard_size is not None and self.shard_size < 0:
+        if self.shard_size < 0:
             raise ConfigError("shard_size must be >= 0 (0 = auto)")
         if self.plan_from is not None:
             object.__setattr__(self, "plan_from", str(self.plan_from))
+
+    @property
+    def resolved_backend(self) -> str:
+        """The concrete backend ``auto`` stands for."""
+        if self.backend != "auto":
+            return self.backend
+        return "serial" if self.workers == 1 else "process"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,16 +173,16 @@ class ResilienceOptions:
         "'seed=7,crash=0.3,timeout=0.1,weeks=0-5,surge5xx=0.5'; "
         "the same (seed, plan) reproduces the identical degraded run",
     )
-    max_shard_retries: Optional[int] = opt(
-        None,
+    max_shard_retries: int = opt(
+        2,
         "--max-shard-retries",
         type=int,
         metavar="N",
         help="re-dispatch attempts per failed shard before it is "
         "dropped (default: 2; backoff is simulated, never slept)",
     )
-    on_shard_failure: Optional[str] = opt(
-        None,
+    on_shard_failure: str = opt(
+        "raise",
         "--on-shard-failure",
         choices=("raise", "degrade"),
         help="after retries are exhausted: 'raise' aborts the run, "
@@ -175,12 +197,9 @@ class ResilienceOptions:
             object.__setattr__(
                 self, "fault_plan", FaultPlan.from_spec(self.fault_plan)
             )
-        if self.max_shard_retries is not None and self.max_shard_retries < 0:
+        if self.max_shard_retries < 0:
             raise ConfigError("max_shard_retries must be >= 0")
-        if self.on_shard_failure is not None and self.on_shard_failure not in (
-            "raise",
-            "degrade",
-        ):
+        if self.on_shard_failure not in ("raise", "degrade"):
             raise ConfigError(
                 f"on_shard_failure must be 'raise' or 'degrade', "
                 f"got {self.on_shard_failure!r}"
@@ -220,8 +239,8 @@ class DurabilityOptions:
 class ObservabilityOptions:
     """What the run records about itself (see :mod:`repro.obs`)."""
 
-    metrics: Optional[bool] = opt(
-        None,
+    metrics: bool = opt(
+        True,
         "--no-metrics",
         kind="negate",
         help="disable detailed metrics (histograms, span events, phase "
@@ -288,52 +307,6 @@ class RunOptions:
         default_factory=ObservabilityOptions
     )
 
-    # ------------------------------------------------------------------
-    def apply_to(self, config: ScenarioConfig) -> ScenarioConfig:
-        """The scenario config with these options' overrides applied.
-
-        Only non-``None`` fields (and ``resume=True``) override;
-        everything else inherits from ``config``.
-        """
-        overrides = {}
-        if self.execution.workers is not None:
-            overrides["workers"] = self.execution.workers
-        if self.execution.backend is not None:
-            overrides["backend"] = self.execution.backend
-        if self.execution.shard_size is not None:
-            overrides["shard_size"] = self.execution.shard_size
-        if self.execution.plan_from is not None:
-            overrides["plan_from"] = self.execution.plan_from
-        if self.resilience.max_shard_retries is not None:
-            overrides["max_shard_retries"] = self.resilience.max_shard_retries
-        if self.resilience.on_shard_failure is not None:
-            overrides["on_shard_failure"] = self.resilience.on_shard_failure
-        if self.durability.checkpoint_dir is not None:
-            overrides["checkpoint_dir"] = self.durability.checkpoint_dir
-        if self.durability.resume:
-            overrides["resume"] = True
-        if overrides:
-            config = dataclasses.replace(
-                config,
-                execution=dataclasses.replace(config.execution, **overrides),
-            )
-        if self.execution.profile_cache is not None:
-            config = dataclasses.replace(
-                config,
-                incremental=dataclasses.replace(
-                    config.incremental,
-                    profile_cache=self.execution.profile_cache,
-                ),
-            )
-        if self.observability.metrics is not None:
-            config = dataclasses.replace(
-                config,
-                observability=dataclasses.replace(
-                    config.observability, metrics=self.observability.metrics
-                ),
-            )
-        return config
-
 
 # ----------------------------------------------------------------------
 # Serving options (repro serve / python -m repro.serve)
@@ -342,11 +315,9 @@ class RunOptions:
 class ServeOptions:
     """How the query service runs: store, binding, cache, aggregates.
 
-    Unlike the run groups, most fields carry a concrete resting default
-    rather than ``None`` — the service has no scenario config to
-    inherit from.  Knobs here can change which *bytes are recomputed
-    when* (TTL, capacity) but never which bytes are served: responses
-    are a pure function of the loaded dataset.
+    Knobs here can change which *bytes are recomputed when* (TTL,
+    capacity) but never which bytes are served: responses are a pure
+    function of the loaded dataset.
     """
 
     store: Optional[str] = opt(

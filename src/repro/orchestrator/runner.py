@@ -272,25 +272,42 @@ class JobRunner:
     # crawl
     # ------------------------------------------------------------------
     def _crawl_options(self, spec: JobSpec):
-        """Run options of a crawl job: checkpointed, resumable, metered."""
+        """Run options of a crawl job: checkpointed, resumable, metered.
+
+        A beat crawl also reads every predecessor tick's cross-run
+        profile generation (freshest first — those are immutable by the
+        DAG order) and writes this tick's own.  Sweep points share no
+        generations: every point is a different dataset, so there is no
+        warmth to share.
+        """
         from ..options import (
             DurabilityOptions,
             ExecutionOptions,
-            ObservabilityOptions,
             ResilienceOptions,
             RunOptions,
         )
 
+        plan = self.plan
+        execution = {}
+        if plan.workers is not None:
+            execution["workers"] = plan.workers
+        if plan.backend is not None:
+            execution["backend"] = plan.backend
+        if spec.kind == CRAWL:
+            execution["profile_store_read"] = tuple(
+                str(self.queue.profile_generation(tick))
+                for tick in range(spec.tick - 1, -1, -1)
+            )
+            execution["profile_store_write"] = str(
+                self.queue.profile_generation(spec.tick)
+            )
         return RunOptions(
-            execution=ExecutionOptions(
-                workers=self.plan.workers, backend=self.plan.backend
-            ),
+            execution=ExecutionOptions(**execution),
             resilience=ResilienceOptions(fault_plan=self.queue.fault_plan),
             durability=DurabilityOptions(
                 checkpoint_dir=str(self.queue.checkpoint_dir(spec.job_id)),
                 resume=True,
             ),
-            observability=ObservabilityOptions(metrics=True),
         )
 
     def _write_crawl(self, spec: JobSpec, study, report) -> Dict[str, Path]:
@@ -317,22 +334,6 @@ class JobRunner:
     def _run_crawl(self, spec: JobSpec) -> JobResult:
         plan = self.plan
         config = ScenarioConfig(population=plan.population, seed=plan.seed)
-        # Cross-run profile generations: read every predecessor tick's
-        # (freshest first — those are immutable by the DAG order), write
-        # this tick's own.
-        config = dataclasses.replace(
-            config,
-            incremental=dataclasses.replace(
-                config.incremental,
-                profile_store_read=tuple(
-                    str(self.queue.profile_generation(tick))
-                    for tick in range(spec.tick - 1, -1, -1)
-                ),
-                profile_store_write=str(
-                    self.queue.profile_generation(spec.tick)
-                ),
-            ),
-        )
         study = Study(config, mode=plan.mode, options=self._crawl_options(spec))
         calendar = study.config.calendar
         start, base = 0, None
@@ -549,9 +550,7 @@ class JobRunner:
         point = plan.sweep_point(spec.tick)
         # The point's config *is* the dataset identity: the pack
         # selection rides the scenario digest, so this job's checkpoint
-        # ledger refuses to resume under a different grid point.  No
-        # cross-point profile generations — every point is a different
-        # dataset, so there is no warmth to share.
+        # ledger refuses to resume under a different grid point.
         config = point.config(plan.population, plan.seed)
         study = Study(config, mode=plan.mode, options=self._crawl_options(spec))
         # The previous point's analyses ran before this crawl: free its

@@ -28,10 +28,6 @@ class DiscoveredRange:
     vulnerable_versions: Tuple[str, ...]
     safe_versions: Tuple[str, ...]
 
-    @property
-    def discovered_set(self) -> frozenset:
-        return frozenset(self.vulnerable_versions)
-
     def as_range_set(self) -> RangeSet:
         """The tightest contiguous [min, next-safe) range set.
 

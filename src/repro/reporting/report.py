@@ -135,21 +135,6 @@ class StudyReport:
             table.add_row(name, get_analysis(name).title)
         return table.render()
 
-    def canonical_document(self, names=None) -> dict:
-        """Machine-readable report: registered analyses → canonical dicts.
-
-        ``names=None`` runs the compact headline subset (the same keys
-        the orchestrator's analyses job and the sweep fold emit).
-        """
-        from ..analysis.api import HEADLINE_ANALYSES
-
-        selected = tuple(names) if names is not None else HEADLINE_ANALYSES
-        return {
-            "format": 1,
-            "pack": self.study.config.pack.describe(),
-            "analyses": self.study.run_registered(selected),
-        }
-
     def render(self) -> str:
         """The full report."""
         sections = [

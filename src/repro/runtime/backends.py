@@ -28,14 +28,9 @@ bound so directly-built backends cannot drift from the factory.
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Protocol, Sequence
 
 from ..errors import ConfigError
-
-try:  # pragma: no cover - version compatibility shim
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
 
 
 class ExecutionBackend(Protocol):

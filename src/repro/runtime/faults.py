@@ -160,13 +160,6 @@ class FaultPlan:
     def injects_shard_faults(self) -> bool:
         return bool(self.crash_rate or self.timeout_rate)
 
-    @property
-    def injects_job_faults(self) -> bool:
-        """Whether any orchestrator-level fault channel is armed."""
-        return bool(
-            self.job_crash_rate or self.lease_expiry_rate or self.queue_tear_rate
-        )
-
     # ------------------------------------------------------------------
     # Orchestrator-level draws (repro.orchestrator)
     # ------------------------------------------------------------------

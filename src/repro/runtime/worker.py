@@ -2,11 +2,12 @@
 
 A :class:`ShardTask` carries everything a worker needs to rebuild its
 slice of the crawl from scratch — the scenario config (ecosystems are
-deterministic functions of it), the crawl mode, the shard's week
-ordinals and domain names, and the vulnerability database.  That makes
-the task picklable, so the same :func:`execute_shard` function serves
-the serial and process backends unchanged, and every crawl runs
-through it: a one-shard serial run is one in-process call.
+deterministic functions of it), the run options (caches, metrics,
+faults), the crawl mode, the shard's week ordinals and domain names,
+and the vulnerability database.  That makes the task picklable, so the
+same :func:`execute_shard` function serves the serial and process
+backends unchanged, and every crawl runs through it: a one-shard
+serial run is one in-process call.
 
 The shard's store travels back in the cheapest form its trip allows,
 chosen by the task's ``backend_name``.  A shard run in a pool process
@@ -19,19 +20,17 @@ neither encoded nor decoded; the run ledger encodes it only to
 journal it.  The dispatching crawler folds either form with
 :meth:`~repro.crawler.ObservationStore.merge`.
 
-Each interpreter keeps a small cache of ecosystems keyed by a digest
-of the whole config: consecutive shards of the same study reuse one
-ecosystem.  A miss builds the domain population and wires the hosts,
-about 20 ms for 1,000 domains; the site states, once the expensive
-part, come from :mod:`repro.webgen.ecosystem`'s per-process site-state
-cache, which every ecosystem of the same dataset shares.  The key
-stays the whole config because the crawler reads the run's
-profile-store paths from ``ecosystem.config.incremental``, so one
-ecosystem cannot serve two ticks of a fleet.  Shards within an
-interpreter run one at a time (the serial backend loops, each pool
-process takes one task at a time), so a cached ecosystem — whose
-``set_week`` mutates the virtual network — is never used by two shards
-at once.
+Each interpreter keeps a small cache of ecosystems keyed by
+:func:`~repro.config.scenario_digest` and the library calibration
+table: every shard of one dataset reuses one ecosystem, across the studies, run options and fleet ticks
+that crawl it, since the shard's crawler reads its run options from the
+task, never from the ecosystem.  A miss builds the domain population
+and wires the hosts, about 20 ms for 1,000 domains; the site states,
+once the expensive part, come from :mod:`repro.webgen.ecosystem`'s
+per-process site-state cache.  Shards within an interpreter run one at
+a time (the serial backend loops, each pool process takes one task at
+a time), so a cached ecosystem — whose ``set_week`` mutates the
+virtual network — is never used by two shards at once.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ import dataclasses
 import time
 from typing import Dict, Optional, Tuple
 
-from ..canonical import canonical_digest
-from ..config import ScenarioConfig
+from ..config import ScenarioConfig, scenario_digest
 from ..errors import InjectedFault, InjectedShardTimeout, InjectedWorkerCrash
 from ..obs import Instruments
+from ..options import RunOptions
 from ..webgen import WebEcosystem
-from .faults import CRASH, TIMEOUT, FaultPlan
+from .faults import CRASH, TIMEOUT
 
 
 def shard_coverage_key(
@@ -83,7 +82,9 @@ class ShardTask:
         backend_name: Backend executing the task.  It names the backend
             in diagnostics, and picks the form of the payload's store:
             codec bytes for ``"process"``, the live store otherwise.
-        fault_plan: Chaos schedule; ``None`` runs fault-free.
+        options: The run's options.  The shard's crawler reads its
+            profile cache and store, its detailed-metrics switch and
+            its fault plan from them.
     """
 
     config: ScenarioConfig
@@ -94,7 +95,7 @@ class ShardTask:
     shard_index: int = 0
     attempt: int = 0
     backend_name: str = "serial"
-    fault_plan: Optional[FaultPlan] = None
+    options: RunOptions = dataclasses.field(default_factory=RunOptions)
 
     # ------------------------------------------------------------------
     def shard_key(self) -> str:
@@ -128,16 +129,24 @@ class ShardTask:
         )
 
 
-#: config digest -> ecosystem; bounded LRU per interpreter.
-_ECOSYSTEM_CACHE: "collections.OrderedDict[str, WebEcosystem]" = (
+#: (scenario digest, library calibration) -> ecosystem; bounded LRU per
+#: interpreter.
+_ECOSYSTEM_CACHE: "collections.OrderedDict[tuple, WebEcosystem]" = (
     collections.OrderedDict()
 )
 _ECOSYSTEM_CACHE_MAX = 8
 
 
 def _ecosystem_for(config: ScenarioConfig) -> WebEcosystem:
-    """A cached ecosystem for ``config``."""
-    key = canonical_digest(config)
+    """A cached ecosystem for ``config``'s dataset.
+
+    Keyed as the generator keys its dataset cache: the calibration
+    table is looked up at call time, so a table patched in process (as
+    the ablation benchmarks patch it) crawls its own sites.
+    """
+    from ..webgen.libraries import library_profiles
+
+    key = (scenario_digest(config), tuple(sorted(library_profiles().items())))
     cached = _ECOSYSTEM_CACHE.get(key)
     if cached is not None:
         _ECOSYSTEM_CACHE.move_to_end(key)
@@ -196,7 +205,7 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
     from ..vulndb import VersionMatcher, default_database
 
     started = time.perf_counter_ns()
-    plan = task.fault_plan
+    plan = task.options.resilience.fault_plan
     if plan is not None:
         # Planned faults fire at the shard boundary, before any network
         # activity — the one point every backend passes through
@@ -227,7 +236,11 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
     database = task.database if task.database is not None else default_database()
     store = ObservationStore(task.config.calendar, VersionMatcher(database))
     crawler = Crawler(
-        ecosystem, store=store, mode=task.mode, apply_filter=False
+        ecosystem,
+        store=store,
+        mode=task.mode,
+        apply_filter=False,
+        options=task.options,
     )
     calendar = task.config.calendar
     weeks = [calendar.week_at(ordinal) for ordinal in task.week_ordinals]

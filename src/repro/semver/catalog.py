@@ -156,12 +156,6 @@ class ReleaseCatalog:
         """The highest version already released at ``date``."""
         return self.newest_two_as_of(date)[0]
 
-    def released_between(
-        self, start: datetime.date, end: datetime.date
-    ) -> Tuple[Release, ...]:
-        """Releases with ``start <= date <= end`` in date order."""
-        return tuple(r for r in self._by_date if start <= r.date <= end)
-
     # ------------------------------------------------------------------
     # Range / neighbourhood queries
     # ------------------------------------------------------------------

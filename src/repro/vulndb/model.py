@@ -116,10 +116,6 @@ class Advisory:
         target = self.effective_range if use_true_range else self.stated_range
         return target.contains(parse_version(version))  # type: ignore[arg-type]
 
-    def window_of_vulnerability_start(self) -> Optional[datetime.date]:
-        """The date from which a fix was publicly available."""
-        return self.patched_on
-
 
 def _probe_versions(
     catalog: Optional[ReleaseCatalog], extra: Sequence[str] = ()

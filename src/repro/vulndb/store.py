@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import VulnDBError
 from ..semver import VersionLike
-from .model import Advisory, RangeAccuracy, classify_accuracy
+from .model import Advisory
 
 
 class VulnerabilityDatabase:
@@ -106,24 +106,6 @@ class VulnerabilityDatabase:
             for a in self._by_id.values()
             if a.disclosed is not None and start <= a.disclosed <= end
         )
-
-    # ------------------------------------------------------------------
-    # Section 6.4 summaries
-    # ------------------------------------------------------------------
-    def accuracy_summary(
-        self, libraries: Optional[Iterable[str]] = None
-    ) -> Dict[RangeAccuracy, List[Advisory]]:
-        """Group advisories by their range-accuracy classification."""
-        selected: Iterable[Advisory]
-        if libraries is None:
-            selected = list(self._by_id.values())
-        else:
-            wanted = {name.lower() for name in libraries}
-            selected = [a for a in self._by_id.values() if a.library in wanted]
-        grouped: Dict[RangeAccuracy, List[Advisory]] = {v: [] for v in RangeAccuracy}
-        for advisory in selected:
-            grouped[classify_accuracy(advisory)].append(advisory)
-        return grouped
 
 
 def default_database(

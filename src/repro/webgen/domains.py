@@ -153,9 +153,6 @@ class DomainPopulation:
                 return self._domains[rank - 1]
         return None
 
-    def in_tier(self, tier: str) -> Tuple[Domain, ...]:
-        return tuple(d for d in self._domains if d.tier == tier)
-
     def alive_count(self, week_ordinal: int) -> int:
         """Domains that resolve at the given kept-week ordinal."""
         return sum(1 for d in self._domains if d.alive_at(week_ordinal))

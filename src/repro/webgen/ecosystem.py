@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import collections
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -312,6 +312,3 @@ class WebEcosystem:
     @property
     def current_week(self) -> int:
         return self._current_week
-
-    def iter_domains(self) -> Iterator[Domain]:
-        return iter(self.population)

@@ -66,11 +66,6 @@ class FlashModel:
     def _ordinal_of(self, date: datetime.date) -> int:
         return self.calendar.week_for_date(date).ordinal
 
-    @property
-    def eol_ordinal(self) -> int:
-        """Kept-week ordinal of Flash's end of life."""
-        return self._eol_ordinal
-
     def always_share_at(self, ordinal: int) -> float:
         """Insecure ``always`` share of Flash sites at a week ordinal."""
         total = max(1, len(self.calendar) - 1)

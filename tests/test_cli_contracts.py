@@ -159,6 +159,40 @@ class TestPlanFromErrors:
         proc = self._run(str(bad))
         self._assert_clean_failure(proc, "not a JSON document")
 
+    @pytest.fixture(scope="class")
+    def metrics_document(self, tmp_path_factory):
+        """A valid metrics document of the run ``_run`` plans."""
+        path = tmp_path_factory.mktemp("plan-from") / "metrics.json"
+        proc = _cli(
+            "run",
+            "--population", "30",
+            "--weeks", "2",
+            "--workers", "2",
+            "--metrics-out", str(path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "case", ["grid-list", "grid-null", "grid-string", "negative-row"]
+    )
+    def test_malformed_planner_counts(self, metrics_document, tmp_path, case):
+        document = json.loads(json.dumps(metrics_document))
+        planner = document["planner"]
+        domains = planner["grid"]["domains"]
+        if case == "negative-row":
+            planner["shards"][0]["domain_start"] = -21
+        else:
+            planner["grid"]["domains"] = {
+                "grid-list": [domains],
+                "grid-null": None,
+                "grid-string": str(domains),
+            }[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        proc = self._run(str(bad))
+        self._assert_clean_failure(proc, "planner section is malformed")
+
 
 class TestResumeErrors:
     """A damaged or outdated checkpoint exits 2 with one error line."""

@@ -250,8 +250,8 @@ class TestCrawler:
 
     def test_profile_cache_counters(self):
         """Hit/miss accounting: one lookup per collected manifest page."""
-        from repro.config import IncrementalConfig
         from repro.crawler.persistence import store_to_dict
+        from repro.options import ExecutionOptions, RunOptions
 
         config = ScenarioConfig(population=100, seed=7)
         weeks = config.calendar.weeks[:5]
@@ -271,7 +271,9 @@ class TestCrawler:
             eco_off,
             mode="manifest",
             apply_filter=False,
-            incremental=IncrementalConfig(profile_cache=False),
+            options=RunOptions(
+                execution=ExecutionOptions(profile_cache=False)
+            ),
         )
         report_off = off.run(weeks=weeks)
         assert report_off.cache_hits == 0 and report_off.cache_misses == 0

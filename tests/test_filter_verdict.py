@@ -21,12 +21,13 @@ import dataclasses
 import pytest
 
 from repro import Study
-from repro.config import AccessibilityConfig, IncrementalConfig, ScenarioConfig
+from repro.config import AccessibilityConfig, ScenarioConfig
 from repro.crawler import Crawler, filtering
 from repro.crawler.fetch import Fetcher
 from repro.crawler.filtering import AccessibilityFilter
 from repro.crawler.persistence import store_to_bytes
 from repro.netsim.network import HostCondition
+from repro.options import ExecutionOptions, RunOptions
 from repro.scenarios import apply_pack
 from repro.webgen import WebEcosystem
 
@@ -56,15 +57,14 @@ def fetches(monkeypatch):
     return calls
 
 
-def _with_store_paths(config: ScenarioConfig, tmp_path, tick: int):
-    return dataclasses.replace(
-        config,
-        incremental=IncrementalConfig(
+def _with_store_paths(tmp_path, tick: int) -> RunOptions:
+    return RunOptions(
+        execution=ExecutionOptions(
             profile_store_read=tuple(
                 str(tmp_path / f"gen-{t:03d}") for t in range(tick)
             ),
             profile_store_write=str(tmp_path / f"gen-{tick:03d}"),
-        ),
+        )
     )
 
 
@@ -86,7 +86,7 @@ def test_fleet_ticks_probe_once(fetches, tmp_path):
     results = []
     counts = []
     for tick in range(3):
-        study = Study(_with_store_paths(_BASE, tmp_path, tick))
+        study = Study(_BASE, options=_with_store_paths(tmp_path, tick))
         result, count = _probe_fetches(fetches, study)
         results.append(result)
         counts.append(count)

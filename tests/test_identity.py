@@ -5,7 +5,10 @@ can be recomputed, so the digests hash canonical JSON of declared field
 values — not pickle bytes, which follow module paths and the
 interpreter's pickle protocol.  The goldens below are computed in fresh
 interpreters under two hash seeds; any change to them is a deliberate
-identity change and needs a ``LEDGER_FORMAT`` bump.
+identity change.  A checkpoint recorded under an old scenario digest is
+refused with a mismatch on ``scenario_digest``; a change to how the
+digests are computed (not to what they cover) also needs a
+``LEDGER_FORMAT`` bump.
 """
 
 from __future__ import annotations
@@ -20,22 +23,22 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.canonical import canonical_digest
-from repro.config import (
-    ExecutionConfig,
-    IncrementalConfig,
-    ObservabilityConfig,
-    PackSelection,
-    ScenarioConfig,
-    scenario_digest,
-)
+from repro import Study
+from repro.config import PackSelection, ScenarioConfig, scenario_digest
 from repro.errors import ConfigError
+from repro.options import (
+    DurabilityOptions,
+    ExecutionOptions,
+    ObservabilityOptions,
+    ResilienceOptions,
+    RunOptions,
+)
 from repro.runtime.faults import FaultPlan
 from repro.runtime.ledger import fault_plan_digest
 from repro.timeline import DEFAULT_PRUNED_WEEKS, StudyCalendar
 
 _SCENARIO_GOLDEN = (
-    "a1ac52f23411ecc25239bd0069be717e7bf58c1f47d3ac59e363dffbbbb6292b"
+    "fe09ae16540494d24e57fc44cc69a6c3816f13c99a50d6121e002580e455d212"
 )
 _FAULT_PLAN_GOLDEN = (
     "3be7c94db575aeeb68fc55d033389848ece829058d7fddca635c39690f355205"
@@ -51,8 +54,6 @@ print(fault_plan_digest(
     FaultPlan(seed=3, crash_rate=0.25, surge_weeks=(1, 2), queue_tear_rate=0.5)
 ))
 """
-
-_RUN_KNOBS = ("execution", "incremental", "observability")
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
@@ -104,7 +105,7 @@ def _dataset_variants(base):
     """One config per dataset field, differing from ``base`` in it."""
     variants = {}
     for section in dataclasses.fields(base):
-        if section.name in _RUN_KNOBS or section.name == "calendar":
+        if section.name == "calendar":
             continue
         value = getattr(base, section.name)
         if not dataclasses.is_dataclass(value):
@@ -149,32 +150,35 @@ def test_pack_parameters_move_the_digest():
     assert len({scenario_digest(c) for c in (base, one, two)}) == 3
 
 
-def test_run_knobs_and_equal_calendars_share_the_digest():
+def test_run_knobs_and_equal_calendars_share_the_digest(tmp_path):
     base = ScenarioConfig(population=100, seed=5)
-    reknobbed = dataclasses.replace(
-        base,
-        calendar=StudyCalendar(),  # an equal calendar, another object
-        execution=ExecutionConfig(
+    recalendared = dataclasses.replace(base, calendar=StudyCalendar())
+    assert base.calendar is not recalendared.calendar
+    assert scenario_digest(recalendared) == scenario_digest(base)
+    # Run knobs live on RunOptions, never on the config: a study under
+    # every one of them digests its dataset as a default study does.
+    knobs = RunOptions(
+        execution=ExecutionOptions(
             backend="process",
             workers=4,
             shard_size=7,
-            max_shard_retries=0,
-            on_shard_failure="degrade",
-            checkpoint_dir="run",
-            resume=True,
-            plan_from="metrics.json",
-        ),
-        incremental=IncrementalConfig(
             profile_cache=False,
+            plan_from="metrics.json",
             profile_store_read=("gen-000",),
             profile_store_write="gen-001",
         ),
-        observability=ObservabilityConfig(metrics=False),
+        resilience=ResilienceOptions(
+            fault_plan=FaultPlan(seed=1, crash_rate=0.5),
+            max_shard_retries=0,
+            on_shard_failure="degrade",
+        ),
+        durability=DurabilityOptions(
+            checkpoint_dir=str(tmp_path / "run"), resume=True
+        ),
+        observability=ObservabilityOptions(
+            metrics=False, metrics_out=str(tmp_path / "m.json")
+        ),
     )
-    assert base.calendar is not reknobbed.calendar
-    assert scenario_digest(reknobbed) == scenario_digest(base)
-    # The worker's ecosystem cache keys on every field, run knobs too.
-    assert canonical_digest(reknobbed) != canonical_digest(base)
-    assert canonical_digest(
-        dataclasses.replace(base, calendar=StudyCalendar())
-    ) == canonical_digest(base)
+    assert scenario_digest(Study(base, options=knobs).config) == (
+        scenario_digest(base)
+    )

@@ -34,13 +34,19 @@ import pytest
 import proptest
 
 from repro import FaultPlan, ScenarioConfig
-from repro.config import AccessibilityConfig, ExecutionConfig, IncrementalConfig
+from repro.config import AccessibilityConfig
 from repro.crawler import Crawler, ObservationStore
 from repro.crawler.persistence import (
     store_from_bytes,
     store_from_dict,
     store_to_bytes,
     store_to_dict,
+)
+from repro.options import (
+    DurabilityOptions,
+    ExecutionOptions,
+    ResilienceOptions,
+    RunOptions,
 )
 from repro.vulndb import VersionMatcher, default_database
 from repro.webgen import WebEcosystem
@@ -81,7 +87,7 @@ def _run_crawler(
     shard_size=0,
     max_retries=2,
     plan=None,
-    profile_cache=None,
+    profile_cache=True,
     checkpoint_dir=None,
     resume=False,
 ):
@@ -89,20 +95,21 @@ def _run_crawler(
         WebEcosystem(config),
         mode=mode,
         apply_filter=False,
-        execution=ExecutionConfig(
-            backend=backend,
-            workers=workers,
-            shard_size=shard_size,
-            max_shard_retries=max_retries,
+        options=RunOptions(
+            execution=ExecutionOptions(
+                backend=backend,
+                workers=workers,
+                shard_size=shard_size,
+                profile_cache=profile_cache,
+            ),
+            resilience=ResilienceOptions(
+                fault_plan=plan, max_shard_retries=max_retries
+            ),
+            durability=DurabilityOptions(
+                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+                resume=resume,
+            ),
         ),
-        incremental=(
-            IncrementalConfig(profile_cache=profile_cache)
-            if profile_cache is not None
-            else None
-        ),
-        fault_plan=plan,
-        checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-        resume=resume,
     )
     report = crawler.run(weeks=weeks)
     return report, store_to_dict(crawler.store)
@@ -540,18 +547,18 @@ class TestBinaryEncodingIdentity:
             WebEcosystem(config),
             mode=kwargs.pop("mode", "manifest"),
             apply_filter=False,
-            execution=ExecutionConfig(
-                backend=kwargs.pop("backend", "serial"),
-                workers=kwargs.pop("workers", 1),
-                shard_size=kwargs.pop("shard_size", 0),
+            options=RunOptions(
+                execution=ExecutionOptions(
+                    backend=kwargs.pop("backend", "serial"),
+                    workers=kwargs.pop("workers", 1),
+                    shard_size=kwargs.pop("shard_size", 0),
+                    profile_cache=kwargs.pop("profile_cache", True),
+                ),
+                durability=DurabilityOptions(
+                    checkpoint_dir=kwargs.pop("checkpoint_dir", None),
+                    resume=kwargs.pop("resume", False),
+                ),
             ),
-            incremental=(
-                IncrementalConfig(profile_cache=kwargs["profile_cache"])
-                if "profile_cache" in kwargs
-                else None
-            ),
-            checkpoint_dir=kwargs.pop("checkpoint_dir", None),
-            resume=kwargs.pop("resume", False),
         )
         crawler.run(weeks=weeks)
         return crawler.store
@@ -630,7 +637,6 @@ class TestWindowExtension:
     @staticmethod
     def _study(config, mode, checkpoint_dir=None):
         from repro import Study
-        from repro.options import DurabilityOptions, ExecutionOptions, RunOptions
 
         options = RunOptions()
         if checkpoint_dir is not None:

@@ -23,14 +23,14 @@ import pytest
 
 import repro
 from repro import FaultPlan, ScenarioConfig, Study
-from repro.config import ExecutionConfig
 from repro.crawler import Crawler
 from repro.crawler.persistence import save_store, store_to_bytes, store_to_dict
-from repro.errors import (
-    CheckpointError,
-    CheckpointMismatchError,
-    ConfigError,
-    CrawlError,
+from repro.errors import CheckpointError, CheckpointMismatchError, ConfigError
+from repro.options import (
+    DurabilityOptions,
+    ExecutionOptions,
+    ResilienceOptions,
+    RunOptions,
 )
 from repro.runtime.ledger import (
     LEDGER_FORMAT,
@@ -47,6 +47,22 @@ _WEEKS = _CONFIG.calendar.weeks[:4]
 _SHARD_SIZE = 30  # 40 domains x 4 weeks = 160 cells -> 6 shards
 
 
+def _options(
+    checkpoint=None, resume=False, backend="serial", workers=2, plan=None
+):
+    """Run options of a checkpointed crawl in shards of ``_SHARD_SIZE``."""
+    return RunOptions(
+        execution=ExecutionOptions(
+            backend=backend, workers=workers, shard_size=_SHARD_SIZE
+        ),
+        resilience=ResilienceOptions(fault_plan=plan),
+        durability=DurabilityOptions(
+            checkpoint_dir=str(checkpoint) if checkpoint else None,
+            resume=resume,
+        ),
+    )
+
+
 def _run(
     checkpoint=None,
     resume=False,
@@ -60,12 +76,7 @@ def _run(
         WebEcosystem(config),
         mode="manifest",
         apply_filter=False,
-        execution=ExecutionConfig(
-            backend=backend, workers=workers, shard_size=_SHARD_SIZE
-        ),
-        fault_plan=plan,
-        checkpoint_dir=str(checkpoint) if checkpoint else None,
-        resume=resume,
+        options=_options(checkpoint, resume, backend, workers, plan),
     )
     report = crawler.run(weeks=weeks)
     return report, store_to_dict(crawler.store)
@@ -145,8 +156,11 @@ class TestFreshCheckpointedRun:
             WebEcosystem(config),
             mode="manifest",
             apply_filter=False,
-            execution=ExecutionConfig(backend="serial", workers=1),
-            checkpoint_dir=str(tmp_path / "run"),
+            options=RunOptions(
+                durability=DurabilityOptions(
+                    checkpoint_dir=str(tmp_path / "run")
+                )
+            ),
         )
         report = crawler.run(weeks=weeks)
         assert report.shards_reexecuted == 1
@@ -196,16 +210,14 @@ class TestResume:
         assert report.shards_reexecuted == 0
 
     def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises((CrawlError, ConfigError)):
+        # The crawler's options cannot even be built: resume=True with
+        # no ledger directory is refused where the knob lives.
+        with pytest.raises(ConfigError, match="checkpoint_dir"):
             Crawler(
                 WebEcosystem(ScenarioConfig(population=10, seed=3)),
                 mode="manifest",
-                resume=True,
+                options=RunOptions(durability=DurabilityOptions(resume=True)),
             )
-
-    def test_execution_config_resume_requires_dir(self):
-        with pytest.raises(ConfigError):
-            ExecutionConfig(resume=True)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +236,6 @@ def _counted_run(checkpoint=None, resume=False):
     """
     import repro.runtime.ledger as ledger_mod
     import repro.runtime.worker as worker_mod
-    from repro.options import DurabilityOptions, ExecutionOptions, RunOptions
 
     with pytest.MonkeyPatch.context() as patch:
         counts = count_calls(
@@ -406,11 +417,7 @@ class TestCorruptionPaths:
             WebEcosystem(_CONFIG),
             mode="full",
             apply_filter=False,
-            execution=ExecutionConfig(
-                backend="serial", workers=2, shard_size=_SHARD_SIZE
-            ),
-            checkpoint_dir=str(tmp_path / "run"),
-            resume=True,
+            options=_options(tmp_path / "run", resume=True),
         )
         with pytest.raises(CheckpointMismatchError):
             crawler.run(weeks=_WEEKS)
@@ -435,11 +442,7 @@ class TestCorruptionPaths:
                 WebEcosystem(_CONFIG),
                 mode="manifest",
                 apply_filter=False,
-                execution=ExecutionConfig(
-                    backend="serial", workers=2, shard_size=_SHARD_SIZE
-                ),
-                checkpoint_dir=str(tmp_path / "run"),
-                resume=resume,
+                options=_options(tmp_path / "run", resume=resume),
             )
             report = crawler.run(weeks=_WEEKS)
             return report, store_to_bytes(crawler.store)
@@ -470,17 +473,27 @@ class TestCorruptionPaths:
 
 
 class TestManifest:
-    def test_scenario_digest_ignores_execution_shape(self):
-        base = ScenarioConfig(population=40, seed=11)
-        import dataclasses
+    def test_scenario_digest_ignores_execution_shape(self, tmp_path):
+        # Two runs of one dataset under other execution shapes record
+        # the same scenario digest; another seed records another.
+        def recorded(config, backend, workers):
+            root = tmp_path / f"{config.seed}-{backend}-{workers}"
+            crawler = Crawler(
+                WebEcosystem(config),
+                mode="manifest",
+                apply_filter=False,
+                options=_options(root, backend=backend, workers=workers),
+            )
+            crawler.run(weeks=config.calendar.weeks[:2])
+            manifest = json.loads((root / "manifest.json").read_text())
+            return manifest["scenario_digest"]
 
-        reshaped = dataclasses.replace(
-            base,
-            execution=ExecutionConfig(backend="process", workers=8),
-        )
-        assert scenario_digest(base) == scenario_digest(reshaped)
-        assert scenario_digest(base) != scenario_digest(
-            ScenarioConfig(population=40, seed=12)
+        base = ScenarioConfig(population=40, seed=11)
+        serial = recorded(base, "serial", 1)
+        assert serial == scenario_digest(base)
+        assert recorded(base, "process", 3) == serial
+        assert recorded(ScenarioConfig(population=40, seed=12), "serial", 1) != (
+            serial
         )
 
     def test_roundtrip(self):
@@ -556,8 +569,13 @@ def aborting_journal(self, shard_index, shard_key, payload):
 ledger_mod.RunLedger.journal = aborting_journal
 
 from repro import FaultPlan, ScenarioConfig
-from repro.config import ExecutionConfig
 from repro.crawler import Crawler
+from repro.options import (
+    DurabilityOptions,
+    ExecutionOptions,
+    ResilienceOptions,
+    RunOptions,
+)
 from repro.webgen import WebEcosystem
 
 config = ScenarioConfig(population=40, seed=11)
@@ -565,9 +583,13 @@ crawler = Crawler(
     WebEcosystem(config),
     mode="manifest",
     apply_filter=False,
-    execution=ExecutionConfig(backend="serial", workers=2, shard_size=30),
-    fault_plan=FaultPlan(seed=3, crash_rate=0.25),
-    checkpoint_dir=root,
+    options=RunOptions(
+        execution=ExecutionOptions(backend="serial", workers=2, shard_size=30),
+        resilience=ResilienceOptions(
+            fault_plan=FaultPlan(seed=3, crash_rate=0.25)
+        ),
+        durability=DurabilityOptions(checkpoint_dir=root),
+    ),
 )
 crawler.run(weeks=config.calendar.weeks[:4])
 os._exit(0)  # only reached if the abort never fired

@@ -19,7 +19,7 @@ import sys
 import pytest
 
 import repro
-from repro import IncrementalConfig, ScenarioConfig
+from repro import ExecutionOptions, RunOptions, ScenarioConfig
 from repro.crawler import Crawler
 from repro.errors import ConfigError
 from repro.obs import (
@@ -315,7 +315,9 @@ def _crawl(instruments, profile_cache=False):
         ecosystem,
         mode="full",
         apply_filter=False,
-        incremental=IncrementalConfig(profile_cache=profile_cache),
+        options=RunOptions(
+            execution=ExecutionOptions(profile_cache=profile_cache)
+        ),
     )
     crawler.crawl_block(_CRAWL_WEEKS, list(ecosystem.population), instruments)
     return instruments

@@ -79,7 +79,11 @@ def test_empty_grid_reports_no_shard(tmp_path):
         return Crawler(ecosystem, mode="manifest", **kwargs).run(weeks=[])
 
     plain = run()
-    durable = run(checkpoint_dir=str(tmp_path / "run"))
+    durable = run(
+        options=RunOptions(
+            durability=DurabilityOptions(checkpoint_dir=str(tmp_path / "run"))
+        )
+    )
     assert plain.metrics.counter("shards.completed") == 0
     assert not [event for event in plain.metrics.events if event.name == "shard"]
     assert plain.metrics.canonical_json() == durable.metrics.canonical_json()

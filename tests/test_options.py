@@ -77,16 +77,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="checkpoint"):
             DurabilityOptions(resume=True)
 
-    def test_apply_to_overrides_only_what_is_set(self):
-        base = ScenarioConfig(population=30, seed=9)
-        applied = RunOptions(
-            observability=ObservabilityOptions(metrics=False)
-        ).apply_to(base)
-        assert applied.observability.metrics is False
-        assert applied.execution == base.execution
-        assert applied.incremental == base.incremental
-        assert RunOptions().apply_to(base) == base
-
 
 class TestCliDerivation:
     def _run_parser(self):

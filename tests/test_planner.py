@@ -26,7 +26,6 @@ import pytest
 import proptest
 
 from repro import FaultPlan, ScenarioConfig
-from repro.config import ExecutionConfig
 from repro.crawler import Crawler
 from repro.crawler.persistence import store_to_bytes
 from repro.errors import ConfigError
@@ -37,6 +36,12 @@ from repro.obs import (
     METRICS_FORMAT,
     planner_profile,
     shard_cost_units,
+)
+from repro.options import (
+    DurabilityOptions,
+    ExecutionOptions,
+    ResilienceOptions,
+    RunOptions,
 )
 from repro.runtime import CostModel, plan_shards
 from repro.webgen import WebEcosystem
@@ -234,12 +239,15 @@ def _run(config, weeks, plan_from=None, backend="serial", workers=2,
         WebEcosystem(config),
         mode="manifest",
         apply_filter=False,
-        execution=ExecutionConfig(
-            backend=backend, workers=workers, plan_from=plan_from
+        options=RunOptions(
+            execution=ExecutionOptions(
+                backend=backend, workers=workers, plan_from=plan_from
+            ),
+            resilience=ResilienceOptions(fault_plan=fault_plan),
+            durability=DurabilityOptions(
+                checkpoint_dir=checkpoint_dir, resume=resume
+            ),
         ),
-        fault_plan=fault_plan,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
     )
     report = crawler.run(weeks=weeks)
     return report, store_to_bytes(crawler.store)

@@ -37,7 +37,7 @@ import pytest
 
 import repro
 from repro import Study
-from repro.config import IncrementalConfig, ScenarioConfig
+from repro.config import ScenarioConfig
 from repro.crawler import profilestore
 from repro.crawler.cache import site_state_key
 from repro.crawler.crawl import profile_from_manifest
@@ -64,10 +64,12 @@ _CHAIN_PINNED = [
 ]
 
 
-def _tick_config(root: Path, tick: int) -> ScenarioConfig:
+def _tick_options(root: Path, tick: int, options: RunOptions) -> RunOptions:
+    """``options`` with tick ``tick``'s profile-store generations."""
     return dataclasses.replace(
-        _CHAIN,
-        incremental=IncrementalConfig(
+        options,
+        execution=dataclasses.replace(
+            options.execution,
             profile_store_read=tuple(
                 str(root / f"gen-{t:03d}") for t in range(tick - 1, -1, -1)
             ),
@@ -79,9 +81,10 @@ def _tick_config(root: Path, tick: int) -> ScenarioConfig:
 def _run_chain(root: Path, options=None, reports=None):
     observed = []
     for tick in range(3):
-        config = _tick_config(root, tick)
-        study = Study(config, options=options or RunOptions())
-        report = study.run(weeks=config.calendar.weeks[: 2 * (tick + 1)])
+        study = Study(
+            _CHAIN, options=_tick_options(root, tick, options or RunOptions())
+        )
+        report = study.run(weeks=_CHAIN.calendar.weeks[: 2 * (tick + 1)])
         if reports is not None:
             reports.append(report)
         counters = report.metrics.counters
@@ -196,12 +199,12 @@ class TestLayout:
         script = (
             "import hashlib, sys\n"
             "from pathlib import Path\n"
-            "from repro import ScenarioConfig, Study\n"
-            "from repro.config import IncrementalConfig\n"
+            "from repro import ExecutionOptions, RunOptions, ScenarioConfig, Study\n"
             "gen = Path(sys.argv[1])\n"
-            "config = ScenarioConfig(population=40, seed=13, incremental="
-            "IncrementalConfig(profile_store_write=str(gen)))\n"
-            "Study(config).run(weeks=config.calendar.weeks[:2])\n"
+            "config = ScenarioConfig(population=40, seed=13)\n"
+            "options = RunOptions(execution=ExecutionOptions("
+            "profile_store_write=str(gen)))\n"
+            "Study(config, options=options).run(weeks=config.calendar.weeks[:2])\n"
             "for path in sorted(gen.iterdir()):\n"
             "    print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())\n"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecutionConfig, IncrementalConfig, ScenarioConfig, Study
+from repro import ScenarioConfig, Study
 from repro.crawler import Crawler, ObservationStore
 from repro.crawler.persistence import (
     store_from_dict,
@@ -19,9 +19,12 @@ from repro.crawler.persistence import (
 )
 from repro.errors import ConfigError, CrawlError, StoreError
 from repro.fingerprint import FingerprintEngine
+from repro.options import ExecutionOptions, RunOptions
 from repro.runtime import (
     ProcessBackend,
     SerialBackend,
+    ShardTask,
+    execute_shard,
     get_backend,
     plan_shards,
 )
@@ -87,22 +90,27 @@ class TestPlanner:
 
 
 class TestExecutionConfig:
+    """The execution options: backend resolution, validation, backends."""
+
     def test_defaults_are_serial(self):
-        cfg = ExecutionConfig()
-        assert cfg.resolved_backend == "serial"
+        options = ExecutionOptions()
+        assert options.resolved_backend == "serial"
 
     def test_auto_promotes_with_workers(self):
-        assert ExecutionConfig(workers=4).resolved_backend == "process"
-        assert ExecutionConfig(backend="serial", workers=4).resolved_backend == "serial"
+        assert ExecutionOptions(workers=4).resolved_backend == "process"
+        assert (
+            ExecutionOptions(backend="serial", workers=4).resolved_backend
+            == "serial"
+        )
 
     def test_validation(self):
         for backend in ("gpu", "thread", "async"):
             with pytest.raises(ConfigError, match="unknown execution backend"):
-                ExecutionConfig(backend=backend)
+                ExecutionOptions(backend=backend)
         with pytest.raises(ConfigError):
-            ExecutionConfig(workers=0)
+            ExecutionOptions(workers=0)
         with pytest.raises(ConfigError):
-            ExecutionConfig(shard_size=-5)
+            ExecutionOptions(shard_size=-5)
 
     def test_get_backend(self):
         assert isinstance(get_backend("serial"), SerialBackend)
@@ -277,8 +285,6 @@ class TestBackendEquivalence:
         ],
     )
     def test_sharded_matches_serial(self, serial_study, backend, workers, shard_size):
-        from repro.options import ExecutionOptions, RunOptions
-
         study = Study(
             self.CONFIG,
             options=RunOptions(
@@ -299,8 +305,6 @@ class TestBackendEquivalence:
         weeks = config.calendar.weeks[:6]
         serial = Study(config, mode="full")
         serial.run(weeks=weeks)
-        from repro.options import ExecutionOptions, RunOptions
-
         sharded = Study(
             config,
             mode="full",
@@ -326,8 +330,6 @@ class TestIncrementalEquivalence:
 
     @pytest.fixture(scope="class")
     def uncached_full(self):
-        from repro.options import ExecutionOptions, RunOptions
-
         study = Study(
             self.CONFIG,
             mode="full",
@@ -349,8 +351,6 @@ class TestIncrementalEquivalence:
     def test_cached_full_crawl_matches_uncached(
         self, uncached_full, backend, workers, shard_size
     ):
-        from repro.options import ExecutionOptions, RunOptions
-
         study = Study(
             self.CONFIG,
             mode="full",
@@ -378,7 +378,7 @@ class TestIncrementalEquivalence:
         assert report.cache_hit_rate == 0.0
 
     def test_incremental_override_reaches_workers(self):
-        """Crawler-level incremental override must travel into shards."""
+        """The crawler's profile-cache option must travel into shards."""
         from repro.crawler import Crawler
 
         config = ScenarioConfig(population=60, seed=5)
@@ -388,11 +388,42 @@ class TestIncrementalEquivalence:
             ecosystem,
             mode="manifest",
             apply_filter=False,
-            execution=ExecutionConfig(backend="serial", workers=2),
-            incremental=IncrementalConfig(profile_cache=False),
+            options=RunOptions(
+                execution=ExecutionOptions(
+                    backend="serial", workers=2, profile_cache=False
+                )
+            ),
         )
         report = crawler.run(weeks=weeks)
         assert report.cache_hits == 0 and report.cache_misses == 0
+
+    def test_shard_task_carries_the_profile_cache_option(self):
+        """A shard's crawler reads its cache switch from the task."""
+        config = ScenarioConfig(population=60, seed=5)
+        weeks = tuple(w.ordinal for w in config.calendar.weeks[:4])
+        names = tuple(d.name for d in WebEcosystem(config).population)
+
+        def shard(profile_cache):
+            payload = execute_shard(
+                ShardTask(
+                    config,
+                    "manifest",
+                    weeks,
+                    names,
+                    options=RunOptions(
+                        execution=ExecutionOptions(profile_cache=profile_cache)
+                    ),
+                )
+            )
+            return payload, store_to_bytes(payload["store"])
+
+        (cached, cached_store), (uncached, uncached_store) = (
+            shard(True),
+            shard(False),
+        )
+        assert cached["cache_hits"] > 0
+        assert uncached["cache_hits"] == uncached["cache_misses"] == 0
+        assert uncached_store == cached_store
 
     def test_cache_hit_skips_render_and_fingerprint(self, monkeypatch):
         """A full-mode cache hit neither renders nor fingerprints.
@@ -417,7 +448,9 @@ class TestIncrementalEquivalence:
                 WebEcosystem(config),
                 mode="full",
                 apply_filter=False,
-                incremental=IncrementalConfig(profile_cache=cache),
+                options=RunOptions(
+                    execution=ExecutionOptions(profile_cache=cache)
+                ),
             )
             report = crawler.run(weeks=config.calendar.weeks[:10])
             return report, dict(calls), store_to_bytes(crawler.store)
@@ -435,8 +468,6 @@ class TestIncrementalEquivalence:
     def test_manifest_mode_cached_matches_uncached(self):
         config = ScenarioConfig(population=100, seed=55)
         weeks = config.calendar.weeks[:8]
-        from repro.options import ExecutionOptions, RunOptions
-
         def cache(enabled):
             return RunOptions(execution=ExecutionOptions(profile_cache=enabled))
 

@@ -7,16 +7,20 @@ calibration table the sites are built from, and the domain, so every
 ecosystem of one dataset shares one population and one set of states.
 These tests count builds, never time them:
 
-* a two-tick fleet — a Study and a worker ecosystem per tick, each
+* a two-tick fleet — a Study per tick and one worker ecosystem, each
   tick with its own profile-store paths — builds each state once and
   draws one population;
-* configs that differ only in execution, incremental or observability
-  knobs share states;
+* a three-tick fleet builds one worker ecosystem, since the worker
+  keys its ecosystems on the dataset and reads run options from the
+  shard task;
+* two ecosystems of one config share states;
 * another seed or another scenario-pack parameter builds its own
   states, and a run after another dataset's run saves the same store
   bytes as a run from an empty cache;
 * a patched calibration table (as the ablation benchmarks patch it)
-  builds its own states and population, and its manifests show it.
+  builds its own states and population, and its manifests show it;
+  a Study under it crawls its own worker ecosystem, not the one a
+  calibrated run of the same config left cached.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ import pytest
 import repro.webgen.libraries as libraries_module
 
 from repro import Study
-from repro.config import (
-    ExecutionConfig,
-    IncrementalConfig,
-    ObservabilityConfig,
-    ScenarioConfig,
-    scenario_digest,
-)
+from repro.config import ScenarioConfig, scenario_digest
 from repro.crawler.persistence import store_to_bytes
 from repro.orchestrator import FleetPlan, Orchestrator
 from repro.runtime import worker as worker_module
@@ -44,6 +42,8 @@ from repro.webgen import WebEcosystem
 from repro.webgen import ecosystem as ecosystem_module
 from repro.webgen.domains import DomainPopulation
 from repro.webgen.site import SiteState
+
+from conftest import count_calls
 
 
 @pytest.fixture()
@@ -92,46 +92,39 @@ def test_fleet_builds_each_state_once(builds, populations, tmp_path):
     assert builds, "the fleet built no site state"
     assert len({digest for digest, _ in builds}) == 1
     assert set(builds.values()) == {1}
-    # A Study and a worker ecosystem per tick: one population draw.
+    # A Study per tick and one worker ecosystem: one population draw.
     assert populations == {24: 1}
+
+
+def test_fleet_builds_one_worker_ecosystem(builds, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, (WebEcosystem, "__init__"))
+    plan = FleetPlan.build(population=24, seed=7, ticks=3, weeks_per_tick=2)
+    assert Orchestrator(tmp_path / "q", plan).run()
+    # One ecosystem per tick's Study, and one that the shards of every
+    # tick crawl, although each tick runs with its own profile-store
+    # paths.
+    assert calls["__init__"] == 3 + 1
 
 
 def test_ecosystems_of_one_dataset_share_one_population(builds, populations):
     config = ScenarioConfig(population=30, seed=9)
     first = WebEcosystem(config)
-    second = WebEcosystem(
-        dataclasses.replace(config, execution=ExecutionConfig(workers=2))
-    )
+    second = WebEcosystem(ScenarioConfig(population=30, seed=9))
     assert second.population is first.population
     assert second.network is not first.network
     assert populations == {30: 1}
 
 
-def test_execution_incremental_observability_share_states(builds, tmp_path):
+def test_two_ecosystems_of_one_config_share_states(builds):
     base = ScenarioConfig(population=40, seed=5)
-    variants = (
-        dataclasses.replace(
-            base, execution=ExecutionConfig(backend="process", workers=3)
-        ),
-        dataclasses.replace(
-            base,
-            incremental=IncrementalConfig(
-                profile_cache=False,
-                profile_store_read=(str(tmp_path / "gen-000"),),
-                profile_store_write=str(tmp_path / "gen-001"),
-            ),
-        ),
-        dataclasses.replace(
-            base, observability=ObservabilityConfig(metrics=False)
-        ),
-    )
     reference = WebEcosystem(base)
     _touch_all(reference)
-    for config in variants:
-        ecosystem = WebEcosystem(config)
-        assert ecosystem.network is not reference.network
-        for domain in ecosystem.population:
-            assert ecosystem.site_state(domain) is reference.site_state(domain)
+    # An equal config, another object (its calendar too).
+    ecosystem = WebEcosystem(ScenarioConfig(population=40, seed=5))
+    assert ecosystem.config is not base
+    assert ecosystem.network is not reference.network
+    for domain in ecosystem.population:
+        assert ecosystem.site_state(domain) is reference.site_state(domain)
     assert len(builds) == len(reference.population)
     assert set(builds.values()) == {1}
 
@@ -202,6 +195,18 @@ def test_patched_calibration_builds_its_own_dataset(builds, populations, monkeyp
     monkeypatch.setattr(libraries_module, "library_profiles", _ORIGINAL_PROFILES)
     again = WebEcosystem(config)
     assert again.population is reference.population
+
+
+def test_patched_calibration_crawls_its_own_sites(builds, monkeypatch):
+    # A Study crawls on the worker's cached ecosystem: a calibrated run
+    # must not leave the ablated one its sites.
+    config = ScenarioConfig(population=60, seed=77)
+    calibrated = _store_bytes(config)
+    monkeypatch.setattr(libraries_module, "library_profiles", _fully_visible)
+    patched = _store_bytes(config)
+    worker_module._ECOSYSTEM_CACHE.clear()
+    ecosystem_module._DATASET_CACHE.clear()
+    assert patched == _store_bytes(config) != calibrated
 
 
 def test_store_bytes_do_not_depend_on_earlier_datasets(builds):
