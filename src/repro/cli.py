@@ -143,24 +143,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     metrics = report.metrics
-    if metrics.enabled:
-        # Phase breakdown: plan/dispatch are the coordinator's phases;
-        # fetch/fingerprint/journal accumulate inside the workers (they
-        # overlap the dispatch wall time, not add to it); fold is the
-        # coordinator-side merge of shard payloads.
-        phases = ", ".join(
-            f"{name} {metrics.wall_seconds(name):.2f}s"
-            for name in (
-                "plan",
-                "dispatch",
-                "fetch",
-                "fingerprint",
-                "journal",
-                "fold",
-            )
+    # Phase breakdown: plan/dispatch are the coordinator's phases;
+    # fetch/fingerprint/journal accumulate inside the workers (they
+    # overlap the dispatch wall time, not add to it); fold is the
+    # coordinator-side merge of shard payloads.
+    phases = ", ".join(
+        f"{name} {metrics.wall_seconds(name):.2f}s"
+        for name in (
+            "plan",
+            "dispatch",
+            "fetch",
+            "fingerprint",
+            "journal",
+            "fold",
         )
-        print(f"phases: {phases}", file=sys.stderr)
-    if getattr(args, "plan_from", None) and metrics.enabled:
+    )
+    print(f"phases: {phases}", file=sys.stderr)
+    if getattr(args, "plan_from", None):
         planner = metrics.snapshot().get("planner")
         if planner:
             print(

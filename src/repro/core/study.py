@@ -59,7 +59,7 @@ class Study:
             grouped by concern — execution (workers, backend, shard
             size, profile cache), resilience (fault plan, retries,
             failure policy), durability (checkpoint dir, resume), and
-            observability (detailed metrics, ``metrics_out``).  They
+            observability (``metrics_out``).  They
             never touch ``config``: no option changes the dataset.
     """
 

@@ -266,7 +266,7 @@ class Crawler:
         options: How the crawl runs (:class:`~repro.RunOptions`):
             sharding and caches, the fault plan (injected faults fire
             at the shard boundary, so they behave identically on every
-            backend), the run ledger, and detailed metrics.  Every
+            backend), the run ledger, and the metrics output.  Every
             shard task carries them to its worker.  Defaults to
             ``RunOptions()``.
     """
@@ -377,7 +377,7 @@ class Crawler:
                 f"(crawl each week once, or start a new Study)"
             )
 
-        instruments = Instruments(enabled=self.options.observability.metrics)
+        instruments = Instruments()
         filter_report: Optional[FilterReport] = None
         retained: Optional[Set[str]] = None
         with instruments.span("plan"):
@@ -443,23 +443,19 @@ class Crawler:
         backend) is preserved by construction.
 
         Returns the block's :class:`~repro.obs.Instruments` (the one
-        passed in, or a fresh one honouring the run's observability
-        options): ``crawl.pages``/``crawl.fetch_failures``/``cache.*``
-        counters always, plus per-page histograms and fetch/fingerprint
-        instrumentation when detailed metrics are enabled.
+        passed in, or a fresh one): the ``crawl.pages``,
+        ``crawl.fetch_failures`` and ``cache.*`` counters, the per-page
+        histograms, and the fetch and fingerprint instrumentation.
         """
         ecosystem = self.ecosystem
         execution = self.options.execution
-        ins = instruments
-        if ins is None:
-            ins = Instruments(enabled=self.options.observability.metrics)
+        ins = instruments if instruments is not None else Instruments()
         # Stable document shape: the core counters exist even at zero.
         ins.inc("crawl.pages", 0)
         ins.inc("crawl.fetch_failures", 0)
-        detail = ins if ins.enabled else None
-        fetcher = Fetcher(ecosystem.network, instruments=detail)
+        fetcher = Fetcher(ecosystem.network, instruments=ins)
         if self.engine is not None:
-            self.engine.instruments = detail
+            self.engine.instruments = ins
         threshold = ecosystem.config.accessibility.empty_page_threshold
         cache = ProfileCache(enabled=execution.profile_cache)
         # Cross-run generation store (manifest mode only): consulted on
@@ -546,13 +542,12 @@ class Crawler:
         execution knob, including the profile cache.
         """
         ins.inc("crawl.pages")
-        if ins.enabled:
-            ins.observe(
-                "page.scripts", profile.script_count, SCRIPTS_PER_PAGE_EDGES
-            )
-            ins.observe(
-                "page.libraries", len(profile.libraries), LIBRARIES_PER_PAGE_EDGES
-            )
+        ins.observe(
+            "page.scripts", profile.script_count, SCRIPTS_PER_PAGE_EDGES
+        )
+        ins.observe(
+            "page.libraries", len(profile.libraries), LIBRARIES_PER_PAGE_EDGES
+        )
 
     # ------------------------------------------------------------------
     def _run_sharded(
@@ -723,30 +718,23 @@ class Crawler:
                 backend=backend_name,
             )
 
-        # Canonical dispatch accounting.  With detailed metrics on, it
-        # is *derived* from the span events rather than read off this
-        # process's live dispatcher: a span's final attempt number pins
-        # how many re-dispatches (and how much simulated backoff) the
-        # shard cost, whether it ran here or was replayed from a journal
-        # — so a resumed run reports the original run's retries, and the
-        # canonical document stays byte-identical across kill/resume.
-        if ins.enabled:
-            retries = 0
-            backoff_us = 0
-            for event in ins.events:
-                if event.name != "shard":
-                    continue
-                retries += event.attempt
-                for attempt in range(event.attempt):
-                    backoff_us += int(round(backoff_delay(attempt) * 1_000_000))
-            ins.inc("dispatch.retries", retries)
-            ins.inc("dispatch.backoff_us", backoff_us)
-        else:
-            ins.inc("dispatch.retries", outcome.retries)
-            ins.inc(
-                "dispatch.backoff_us",
-                int(round(outcome.backoff_seconds * 1_000_000)),
-            )
+        # Canonical dispatch accounting, *derived* from the span events
+        # rather than read off this process's live dispatcher: a span's
+        # final attempt number pins how many re-dispatches (and how much
+        # simulated backoff) the shard cost, whether it ran here or was
+        # replayed from a journal — so a resumed run reports the
+        # original run's retries, and the canonical document stays
+        # byte-identical across kill/resume.
+        retries = 0
+        backoff_us = 0
+        for event in ins.events:
+            if event.name != "shard":
+                continue
+            retries += event.attempt
+            for attempt in range(event.attempt):
+                backoff_us += int(round(backoff_delay(attempt) * 1_000_000))
+        ins.inc("dispatch.retries", retries)
+        ins.inc("dispatch.backoff_us", backoff_us)
         ins.inc("dispatch.dropped_shards", len(outcome.dropped))
         ins.inc(
             "dispatch.dropped_cells",

@@ -116,10 +116,6 @@ class PageProfile:
     def uses_flash(self) -> bool:
         return bool(self.flash_embeds) or "flash" in self.resource_types
 
-    def detections_of(self, library: str) -> Tuple[LibraryDetection, ...]:
-        wanted = library.lower()
-        return tuple(d for d in self.libraries if d.library == wanted)
-
     def external_without_integrity(self) -> Tuple[LibraryDetection, ...]:
         """External library inclusions missing the ``integrity`` attribute."""
         return tuple(

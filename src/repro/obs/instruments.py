@@ -290,13 +290,11 @@ class SpanEvent:
 class Instruments:
     """The run's telemetry: exact counters + histograms + span events.
 
-    Args:
-        enabled: Gates the *detailed* instrumentation — histograms, span
-            events, and wall timers.  Core counters (``inc``) always
-            work: the crawl report is built from them, so they are not
-            optional.  Disabling detail exists only so that its cost
-            can be measured (``tests/test_obs.py`` pins the work it adds
-            to a crawl as counted calls).
+    Every run records all of it at one level: the crawl report reads
+    the counters, the canonical dispatch accounting is derived from
+    the span events, and ``--plan-from`` needs the ``planner`` section.
+    ``tests/test_obs.py`` pins the work it adds to a crawl as counted
+    calls.
 
     The object is picklable and JSON-codable (:meth:`to_payload` /
     :meth:`from_payload`), merges exactly (:meth:`merge`), and equality
@@ -304,10 +302,9 @@ class Instruments:
     same seed on different backends compare equal.
     """
 
-    __slots__ = ("enabled", "counters", "histograms", "events", "process", "plan")
+    __slots__ = ("counters", "histograms", "events", "process", "plan")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.events: List[SpanEvent] = []
@@ -331,14 +328,8 @@ class Instruments:
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def histogram(self, name: str, edges: Tuple[int, ...]) -> Optional[Histogram]:
-        """The histogram ``name``, created with ``edges`` on first use.
-
-        Returns ``None`` when detail is disabled, so hot paths can guard
-        with one truthiness check.
-        """
-        if not self.enabled:
-            return None
+    def histogram(self, name: str, edges: Tuple[int, ...]) -> Histogram:
+        """The histogram ``name``, created with ``edges`` on first use."""
         hist = self.histograms.get(name)
         if hist is None:
             hist = Histogram(edges)
@@ -346,9 +337,7 @@ class Instruments:
         return hist
 
     def observe(self, name: str, value: int, edges: Tuple[int, ...]) -> None:
-        hist = self.histogram(name, edges)
-        if hist is not None:
-            hist.observe(value)
+        self.histogram(name, edges).observe(value)
 
     def event(
         self,
@@ -361,8 +350,6 @@ class Instruments:
         backend: str = "",
         duration_us: int = 0,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             SpanEvent(
                 name=name,
@@ -384,10 +371,8 @@ class Instruments:
         backend-free by construction.  Once set, :meth:`snapshot` emits
         the canonical ``planner`` section: per-shard cost rows derived
         from the plan geometry plus the shard span events' integer
-        facts.  No-op when detail is disabled.
+        facts.
         """
-        if not self.enabled:
-            return
         self.plan = (
             int(n_weeks),
             int(n_domains),
@@ -409,12 +394,8 @@ class Instruments:
         Wall time accumulates into ``process["wall.<name>_us"]``; a
         ``clock`` with a ``now`` attribute (e.g. the dispatcher's
         :class:`~repro.runtime.SimulatedClock`) additionally accumulates
-        its delta into ``process["sim.<name>_us"]``.  No-op (zero
-        overhead beyond one check) when detail is disabled.
+        its delta into ``process["sim.<name>_us"]``.
         """
-        if not self.enabled:
-            yield
-            return
         sim_start = getattr(clock, "now", None)
         started = time.perf_counter_ns()
         try:
@@ -476,8 +457,8 @@ class Instruments:
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping, enabled: bool = True) -> "Instruments":
-        ins = cls(enabled=enabled)
+    def from_payload(cls, payload: Mapping) -> "Instruments":
+        ins = cls()
         for name, value in payload.get("counters", {}).items():
             ins.counters[name] = int(value)
         for name, hist in payload.get("histograms", {}).items():
@@ -694,7 +675,7 @@ def planner_profile(document: Mapping) -> dict:
     if not isinstance(planner, Mapping):
         raise ConfigError(
             "metrics document has no planner section; it was produced "
-            "with detailed metrics disabled or by a pre-planner version"
+            "by an older version, before every run recorded one"
         )
     grid = planner.get("grid")
     shards = planner.get("shards")

@@ -9,7 +9,7 @@ knobs by concern:
   shard size, adaptive plan, profile cache);
 * :class:`ResilienceOptions` — fault plan, retry budget, failure policy;
 * :class:`DurabilityOptions` — checkpoint directory, resume;
-* :class:`ObservabilityOptions` — detailed metrics, ``--metrics-out``.
+* :class:`ObservabilityOptions` — the metrics document, ``--metrics-out``.
 
 A :class:`RunOptions` bundles the four and is what ``Study`` and
 :class:`~repro.crawler.Crawler` accept (``options=RunOptions(...)``),
@@ -237,15 +237,12 @@ class DurabilityOptions:
 
 @dataclasses.dataclass(frozen=True)
 class ObservabilityOptions:
-    """What the run records about itself (see :mod:`repro.obs`)."""
+    """Where the run's metrics go (see :mod:`repro.obs`).
 
-    metrics: bool = opt(
-        True,
-        "--no-metrics",
-        kind="negate",
-        help="disable detailed metrics (histograms, span events, phase "
-        "timers); core report counters are always collected",
-    )
+    Every run records its telemetry at one level; this only says
+    whether the canonical document is also written to a file.
+    """
+
     metrics_out: Optional[str] = opt(
         None,
         "--metrics-out",
@@ -494,13 +491,8 @@ class OrchestratorOptions:
     def __post_init__(self) -> None:
         if self.queue_dir is not None:
             object.__setattr__(self, "queue_dir", str(self.queue_dir))
-        if self.population < 1:
-            raise ConfigError(f"population must be >= 1, got {self.population}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        # ticks / weeks_per_tick / retries / lease / policy are
-        # validated by FleetPlan itself; to_plan() surfaces those
-        # ConfigErrors with identical wording.
+        # The plan fields are validated by FleetPlan itself; to_plan()
+        # surfaces those ConfigErrors with identical wording.
 
     def to_plan(self):
         """The validated :class:`~repro.orchestrator.FleetPlan`."""
@@ -628,12 +620,8 @@ class SweepOptions:
     def __post_init__(self) -> None:
         if self.queue_dir is not None:
             object.__setattr__(self, "queue_dir", str(self.queue_dir))
-        if self.population < 1:
-            raise ConfigError(f"population must be >= 1, got {self.population}")
         if self.weeks < 1:
             raise ConfigError(f"weeks must be >= 1, got {self.weeks}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def to_spec(self):
         """The validated :class:`~repro.sweep.SweepSpec` for the grid."""

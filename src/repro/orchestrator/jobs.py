@@ -38,6 +38,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
+from ..options import EXECUTION_BACKENDS
 from ..sweep.spec import SweepPoint
 
 #: Version of the queue-manifest (``queue.json``) schema.  Format 2
@@ -163,6 +164,12 @@ class FleetPlan:
     sweep_points: Tuple[SweepPoint, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.population < 1:
+            raise ConfigError(f"population must be >= 1, got {self.population}")
+        if self.mode not in ("manifest", "full"):
+            raise ConfigError(
+                f"unknown crawl mode {self.mode!r}; expected manifest or full"
+            )
         if self.ticks < 1:
             raise ConfigError(f"ticks must be >= 1, got {self.ticks}")
         if self.sweep_points and len(self.sweep_points) != self.ticks:
@@ -183,6 +190,13 @@ class FleetPlan:
             raise ConfigError("max_job_retries must be >= 0")
         if self.lease_seconds <= 0:
             raise ConfigError("lease_seconds must be > 0")
+        if self.backend is not None and self.backend not in EXECUTION_BACKENDS:
+            raise ConfigError(
+                f"unknown execution backend {self.backend!r}; "
+                f"expected one of {', '.join(EXECUTION_BACKENDS)}"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
     # ------------------------------------------------------------------
     @classmethod

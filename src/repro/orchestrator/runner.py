@@ -75,7 +75,7 @@ from ..config import ScenarioConfig
 from ..core.study import Study
 from ..durable import atomic_write_bytes, parse_json, quarantine
 from ..errors import (
-    CheckpointMismatchError,
+    CheckpointError,
     JobExecutionError,
     ReproError,
     StoreError,
@@ -344,19 +344,7 @@ class JobRunner:
         if found is not None:
             study.store, start, base = found
         weeks = calendar.weeks[start : plan.week_count(spec.tick)]
-        try:
-            report = study.run(weeks=weeks)
-        except CheckpointMismatchError as exc:
-            if [field for field, _, _ in exc.mismatches] != ["week_ordinals"]:
-                raise
-            # The checkpoint extends a base that no longer verifies (its
-            # artifacts were damaged after this crawl began), so its
-            # journal covers other weeks: set it aside and crawl afresh.
-            quarantine(
-                self.queue.checkpoint_dir(spec.job_id),
-                self.queue.quarantine_dir,
-            )
-            report = study.run(weeks=weeks)
+        report = self._run_study(spec, study, weeks)
         return JobResult(
             artifacts=self._write_crawl(spec, study, report),
             extra={
@@ -365,6 +353,27 @@ class JobRunner:
                 "degraded_run": report.degraded,
             },
         )
+
+    def _run_study(self, spec: JobSpec, study, weeks):
+        """Run a crawl job's ``study`` over ``weeks``, resuming its
+        checkpoint; returns the crawl report.
+
+        A checkpoint the run refuses — it records another run, or its
+        manifest cannot be read — is moved into the queue's
+        ``quarantine/`` and the study crawls afresh.  The queue's plan
+        digest pins the job's dataset, so such a checkpoint is stale
+        (say, it extends a base whose artifacts were damaged after
+        this crawl began) or damaged, and a fresh crawl writes the
+        bytes the job would have written.
+        """
+        try:
+            return study.run(weeks=weeks)
+        except CheckpointError:
+            quarantine(
+                self.queue.checkpoint_dir(spec.job_id),
+                self.queue.quarantine_dir,
+            )
+            return study.run(weeks=weeks)
 
     def _crawl_base(self, spec: JobSpec, calendar, matcher):
         """``(store, weeks, job id)`` of the crawl ``spec`` extends, or
@@ -557,7 +566,7 @@ class JobRunner:
         # store rather than hold two while this one is crawled.
         self._handover = None
         weeks = study.config.calendar.weeks[: plan.week_count(spec.tick)]
-        report = study.run(weeks=weeks)
+        report = self._run_study(spec, study, weeks)
         return JobResult(
             artifacts=self._write_crawl(spec, study, report),
             extra={

@@ -83,14 +83,10 @@ class DispatchResult:
         payloads: Per-shard worker payloads in plan order; ``None`` where
             the shard was dropped.
         dropped: Dropped shards, ordered by shard index.
-        retries: Total re-dispatch attempts across all shards.
-        backoff_seconds: Total (simulated) backoff wait.
     """
 
     payloads: List[Optional[Dict[str, object]]]
     dropped: List[ShardFailure]
-    retries: int
-    backoff_seconds: float
 
 
 def dispatch_shards(
@@ -171,7 +167,7 @@ def dispatch_shards(
         pending = requeued
 
     dropped.sort(key=lambda failure: failure.shard_index)
-    if instruments is not None and instruments.enabled:
+    if instruments is not None:
         # Process-tier live diagnostics, never canonical.
         for key, value in (
             ("dispatch.rounds", rounds),
@@ -181,9 +177,4 @@ def dispatch_shards(
             instruments.process[key] = (
                 int(instruments.process.get(key, 0)) + value
             )
-    return DispatchResult(
-        payloads=payloads,
-        dropped=dropped,
-        retries=retries,
-        backoff_seconds=clock.now,
-    )
+    return DispatchResult(payloads=payloads, dropped=dropped)

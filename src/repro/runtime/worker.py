@@ -83,8 +83,7 @@ class ShardTask:
             in diagnostics, and picks the form of the payload's store:
             codec bytes for ``"process"``, the live store otherwise.
         options: The run's options.  The shard's crawler reads its
-            profile cache and store, its detailed-metrics switch and
-            its fault plan from them.
+            profile cache and store and its fault plan from them.
     """
 
     config: ScenarioConfig

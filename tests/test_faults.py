@@ -196,10 +196,9 @@ class TestDispatchShards:
         assert isinstance(outcome, DispatchResult)
         assert [p and p["shard_index"] for p in outcome.payloads] == [0, 1, 2]
         assert outcome.dropped == []
-        assert outcome.retries == 2
         # attempts 0 and 1 failed: 0.5s + 1.0s of simulated backoff.
-        assert outcome.backoff_seconds == 1.5
         assert clock.sleeps == [0.5, 1.0]
+        assert clock.now == 1.5
 
     def test_exhausted_unexpected_failure_raises_wrapped_error(self):
         tasks = [FakeTask(shard_index=0)]
@@ -240,17 +239,19 @@ class TestDispatchShards:
                 "shard": task.describe(),
             }
 
+        clock = SimulatedClock()
         outcome = dispatch_shards(
             SerialBackend(),
             [FakeTask(shard_index=0)],
             max_retries=2,
             on_failure="raise",
+            clock=clock,
             run_task=injected_crash,
         )
         assert [f.shard_index for f in outcome.dropped] == [0]
         assert outcome.dropped[0].injected
-        assert outcome.retries == 2
-        assert outcome.backoff_seconds == 1.5
+        assert len(clock.sleeps) == 2
+        assert clock.now == 1.5
 
 
 # ----------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_run_knobs_and_equal_calendars_share_the_digest(tmp_path):
             checkpoint_dir=str(tmp_path / "run"), resume=True
         ),
         observability=ObservabilityOptions(
-            metrics=False, metrics_out=str(tmp_path / "m.json")
+            metrics_out=str(tmp_path / "m.json")
         ),
     )
     assert scenario_digest(Study(base, options=knobs).config) == (

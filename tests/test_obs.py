@@ -159,18 +159,6 @@ class TestInstruments:
         back = pickle.loads(pickle.dumps(ins))
         assert back == ins and back.process == ins.process
 
-    def test_disabled_gates_detail_but_not_counters(self):
-        ins = Instruments(enabled=False)
-        ins.inc("crawl.pages", 7)
-        ins.observe("page.scripts", 3, SCRIPTS_PER_PAGE_EDGES)
-        ins.event(
-            "shard", status="ok", shard_index=0, shard_key="k", attempt=0
-        )
-        with ins.span("plan"):
-            pass
-        assert ins.counter("crawl.pages") == 7
-        assert not ins.histograms and not ins.events and not ins.process
-
     def test_span_accumulates_wall_and_sim_time(self):
         class FakeClock:
             now = 2.5
@@ -293,7 +281,7 @@ class _RecordingInstruments(Instruments):
     __slots__ = ("ops",)
 
     def __init__(self):
-        super().__init__(enabled=True)
+        super().__init__()
         self.ops = []
 
     def inc(self, name, value=1):
@@ -382,9 +370,3 @@ class TestCrawlInstruments:
         assert outside == 0
         assert c_calls <= _REPLAY_C_CALLS_BOUND
         assert runs[1][1:] == (python_calls, outside, c_calls)
-
-    def test_disabled_detail_records_core_counters_only(self):
-        """The ``--no-metrics`` path: counters fill, detail stays empty."""
-        ins = _crawl(Instruments(enabled=False), profile_cache=True)
-        assert ins.counter("crawl.pages") > 0
-        assert not ins.histograms and not ins.events and not ins.process

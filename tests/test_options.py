@@ -119,7 +119,6 @@ class TestCliDerivation:
                 "--max-shard-retries", "1",
                 "--on-shard-failure", "degrade",
                 "--checkpoint-dir", str(tmp_path / "ledger"),
-                "--no-metrics",
                 "--metrics-out", str(tmp_path / "m.json"),
             ]
         )
@@ -138,7 +137,7 @@ class TestCliDerivation:
                 checkpoint_dir=str(tmp_path / "ledger")
             ),
             observability=ObservabilityOptions(
-                metrics=False, metrics_out=str(tmp_path / "m.json")
+                metrics_out=str(tmp_path / "m.json")
             ),
         )
 

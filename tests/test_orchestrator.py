@@ -126,6 +126,10 @@ class TestFleetPlan:
             dict(degrade_policy="retry-forever"),
             dict(max_job_retries=-1),
             dict(lease_seconds=0.0),
+            dict(population=0),
+            dict(workers=0),
+            dict(backend="bogus"),
+            dict(mode="bogus"),
         ],
     )
     def test_invalid_plans_are_config_errors(self, overrides):
@@ -719,6 +723,33 @@ class TestCrawlExtension:
             assert not quarantined.exists()
         assert _store_bytes(queue, "crawl-001") == _one_shot_store(4)
 
+    @pytest.mark.parametrize("damage", ["foreign-digest", "unreadable"])
+    def test_refused_checkpoint_is_set_aside(self, clean_fleet, tmp_path, damage):
+        """A killed crawl whose checkpoint the resume refuses crawls
+        afresh: the queue's plan pins its dataset, so the checkpoint is
+        stale or damaged, never a reason to dead-letter the crawl."""
+        root = tmp_path / "q"
+        _run_killed(_CRAWL_KILL_SCRIPT, str(root))
+        manifest_path = root / "checkpoints" / "crawl-001" / "manifest.json"
+        if damage == "foreign-digest":
+            manifest = json.loads(manifest_path.read_text())
+            manifest["scenario_digest"] = "0" * 64
+            manifest_path.write_text(json.dumps(manifest, sort_keys=True))
+        else:
+            manifest_path.write_bytes(b"{not json")
+        refused = manifest_path.read_bytes()
+
+        records = Orchestrator(
+            root, _plan(backend="serial", workers=2)
+        ).run()
+        assert all(r.state == DONE for r in records.values())
+        clean_root, _, _ = clean_fleet
+        assert _store_bytes(JobQueue(root), "crawl-001") == _store_bytes(
+            JobQueue(clean_root), "crawl-001"
+        )
+        quarantined = root / "quarantine" / "crawl-001" / "manifest.json"
+        assert quarantined.read_bytes() == refused
+
 
 # ----------------------------------------------------------------------
 # One runner per run hands each crawl's store to the jobs that read it
@@ -869,3 +900,19 @@ class TestQueueFormat:
         with pytest.raises(QueueError, match="format 1") as excinfo:
             JobQueue(root).open(plan)
         assert "format 2" in str(excinfo.value)
+
+    def test_invalid_plan_field_is_refused_at_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "q"
+        plan = _plan()
+        JobQueue(root).open(plan)
+        JobQueue(root).manifest_path.write_text(
+            json.dumps(dict(plan.to_dict(), workers=0), sort_keys=True)
+        )
+        capsys.readouterr()
+        assert main(["orchestrate", "status", "--queue-dir", str(root)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "workers must be >= 1" in lines[0]

@@ -189,12 +189,13 @@ class TestFold:
 # ----------------------------------------------------------------------
 # End-to-end: run, convergence, kill/resume
 # ----------------------------------------------------------------------
-def _sweep_plan() -> FleetPlan:
+def _sweep_plan(**overrides) -> FleetPlan:
     return FleetPlan.build_sweep(
         SweepSpec.parse(_GRID).points,
         population=_POPULATION,
         seed=_SEED,
         weeks=_WEEKS,
+        **overrides,
     )
 
 
@@ -236,18 +237,23 @@ os._exit(0)  # only reached if the abort never fired
 """ % (_GRID, _POPULATION, _SEED, _WEEKS)
 
 
-def _kill_sweep(root: Path, limit: int) -> None:
+def _run_killed(*argv: str) -> None:
+    """Run ``python argv...`` in a fresh interpreter; it must hard-abort."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _SWEEP_KILL_SCRIPT, str(limit), str(root)],
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 137, proc.stderr
+
+
+def _kill_sweep(root: Path, limit: int) -> None:
+    _run_killed("-c", _SWEEP_KILL_SCRIPT, str(limit), str(root))
 
 
 class TestSweepEndToEnd:
@@ -301,6 +307,32 @@ class TestSweepEndToEnd:
         assert (root / SWEEP_DOCUMENT_NAME).read_bytes() == (
             clean_sweep / SWEEP_DOCUMENT_NAME
         ).read_bytes()
+
+    def test_refused_point_checkpoint_is_set_aside(self, clean_sweep, tmp_path):
+        """A point crawl killed after its first journaled shard, whose
+        checkpoint then records another scenario, crawls afresh: no
+        point goes missing from the fold."""
+        root = tmp_path / "q"
+        _run_killed(
+            str(Path(__file__).with_name("kill_at.py")),
+            "journal", "1", "sweep", "run", "--queue-dir", str(root),
+            "--grid", _GRID, "--population", str(_POPULATION),
+            "--seed", str(_SEED), "--weeks", str(_WEEKS),
+            "--workers", "2", "--backend", "serial",
+        )
+        manifest_path = root / "checkpoints" / "sweep-crawl-000" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scenario_digest"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True))
+
+        plan = _sweep_plan(backend="serial", workers=2)
+        records = Orchestrator(root, plan).run()
+        assert all(record.state == "done" for record in records.values())
+        document = (root / SWEEP_DOCUMENT_NAME).read_bytes()
+        assert json.loads(document)["missing"] == []
+        assert document == (clean_sweep / SWEEP_DOCUMENT_NAME).read_bytes()
+        quarantined = root / "quarantine" / "sweep-crawl-000" / "manifest.json"
+        assert json.loads(quarantined.read_text()) == manifest
 
     def test_rerun_over_finished_sweep_executes_nothing(
         self, clean_sweep, monkeypatch
