@@ -54,7 +54,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .options import (
     add_option_arguments,
@@ -62,6 +62,36 @@ from .options import (
     add_serve_arguments,
     add_sweep_arguments,
 )
+
+
+def _path_error(
+    files: Dict[str, Optional[str]], dirs: Dict[str, Optional[str]]
+) -> Optional[str]:
+    """Why the CLI could not write one of its output paths, or None.
+
+    ``files`` and ``dirs`` map each flag to its value (None when
+    unset).  An output file needs an existing directory to land in; a
+    checkpoint or queue directory must be a directory or be creatable
+    under its nearest existing ancestor.  Checked before any work
+    starts, so a bad path costs no crawl.
+    """
+    for flag, value in files.items():
+        if not value:
+            continue
+        path = Path(value)
+        if path.is_dir():
+            return f"{flag} {value}: is a directory"
+        if not path.parent.is_dir():
+            return f"{flag} {value}: directory {path.parent} does not exist"
+    for flag, value in dirs.items():
+        if not value:
+            continue
+        existing = Path(value)
+        while not existing.exists() and existing != existing.parent:
+            existing = existing.parent
+        if not existing.is_dir():
+            return f"{flag} {value}: {existing} is not a directory"
+    return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -83,6 +113,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = ScenarioConfig(population=args.population, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    error = _path_error(
+        files={
+            "--save-store": args.save_store,
+            "--metrics-out": options.observability.metrics_out,
+        },
+        dirs={"--checkpoint-dir": options.durability.checkpoint_dir},
+    )
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     fault_plan = options.resilience.fault_plan
 
@@ -201,11 +241,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         save_store(study.store, args.save_store)
         print(f"store saved to {args.save_store}", file=sys.stderr)
-    if args.export_json:
-        from .crawler.persistence import export_store_json
-
-        export_store_json(study.store, args.export_json)
-        print(f"store exported to {args.export_json}", file=sys.stderr)
     return 0
 
 
@@ -270,6 +305,10 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             return 2
         return 0
 
+    error = _path_error(files={}, dirs={"--queue-dir": options.queue_dir})
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     from .orchestrator import Orchestrator
 
     try:
@@ -349,6 +388,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(render_sweep_report(document))
         return 0
 
+    error = _path_error(files={}, dirs={"--queue-dir": options.queue_dir})
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     from .orchestrator import Orchestrator
 
     try:
@@ -422,13 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="persist the store as a canonical binary blob (format v2)",
-    )
-    run.add_argument(
-        "--export-json",
-        metavar="FILE",
-        default=None,
-        help="also export the store as checksummed canonical JSON "
-        "(the pre-v2 interchange document)",
     )
     run.add_argument(
         "--full",

@@ -40,7 +40,7 @@ class ColumnCounter:
     """Counts per symbol of one string domain, stored as an array.
 
     Reads are keyed by symbol string; entries with a zero count are
-    treated as absent (counts are only ever incremented or set, so this
+    treated as absent (counts are only ever incremented, so this
     matches the old defaultdict's key set exactly).
     """
 
@@ -56,17 +56,6 @@ class ColumnCounter:
         if sym_id >= len(counts):
             _grow(counts, sym_id)
         counts[sym_id] += n
-
-    # -- write surface (symbols; load/merge paths) ---------------------
-    def __setitem__(self, symbol: str, value: int) -> None:
-        sym_id = self._domain.intern(symbol)
-        if sym_id >= len(self._counts):
-            _grow(self._counts, sym_id)
-        self._counts[sym_id] = value
-
-    def update(self, mapping) -> None:
-        for symbol, value in mapping.items():
-            self[symbol] = value
 
     def merge_from(self, other: "ColumnCounter") -> None:
         """Add another counter's counts, remapping ids via symbols."""
@@ -144,16 +133,6 @@ class PairColumnCounter:
             _grow(counts, pair_id)
         counts[pair_id] += n
 
-    def __setitem__(self, pair: Tuple[str, str], value: int) -> None:
-        pair_id = self._domain.intern(pair)
-        if pair_id >= len(self._counts):
-            _grow(self._counts, pair_id)
-        self._counts[pair_id] = value
-
-    def update(self, mapping) -> None:
-        for pair, value in mapping.items():
-            self[pair] = value
-
     def merge_from(self, other: "PairColumnCounter") -> None:
         intern = self._domain.intern
         decode = other._domain.decode
@@ -226,16 +205,6 @@ class NestedPairCounter:
         if pair_id >= len(counts):
             _grow(counts, pair_id)
         counts[pair_id] += n
-
-    def update_outer(self, a_symbol: str, inner) -> None:
-        """Set ``{b: count}`` values under one outer key (load path)."""
-        domain = self._domain
-        a_id = domain.a.intern(a_symbol)
-        for b_symbol, count in inner.items():
-            pair_id = domain.intern_ids(a_id, domain.b.intern(b_symbol))
-            if pair_id >= len(self._counts):
-                _grow(self._counts, pair_id)
-            self._counts[pair_id] = count
 
     def merge_from(self, other: "NestedPairCounter") -> None:
         intern = self._domain.intern
@@ -312,15 +281,6 @@ class IntCounter:
         if key >= len(counts):
             _grow(counts, key)
         counts[key] += n
-
-    def __setitem__(self, key: int, value: int) -> None:
-        if key >= len(self._counts):
-            _grow(self._counts, key)
-        self._counts[key] = value
-
-    def update(self, mapping) -> None:
-        for key, value in mapping.items():
-            self[int(key)] = value
 
     def merge_from(self, other: "IntCounter") -> None:
         for key, count in enumerate(other._counts):
@@ -462,18 +422,6 @@ class PackedTrajectories:
             arr.append(ordinal)
             arr.append(ver_id)
 
-    def load_site(self, rank: int, libs) -> None:
-        """Replace one site's trajectories from decoded form."""
-        symbols = self._symbols
-        site: Dict[int, array] = {}
-        for library, changes in libs.items():
-            arr = array("q")
-            for week, version in changes:
-                arr.append(week)
-                arr.append(symbols.version.intern(version))
-            site[symbols.library.intern(library)] = arr
-        self._sites[rank] = site
-
     def merge_from(self, other: "PackedTrajectories") -> None:
         """Fold another store's trajectories in, remapping symbols.
 
@@ -566,11 +514,6 @@ class PackedTrajectories:
             for rank, site in self._sites.items()
         }
 
-    def __deepcopy__(self, memo) -> Dict[int, Dict[str, List[Tuple[int, str]]]]:
-        # Tests clone trajectories to inject synthetic sites; hand them
-        # a plain mutable dict rather than a view over shared arrays.
-        return self.to_dict()
-
     def __eq__(self, other) -> bool:
         if isinstance(other, PackedTrajectories):
             return self.to_dict() == other.to_dict()
@@ -612,14 +555,6 @@ class PackedWpTrajectories:
         elif arr[-1] != ver_id:
             arr.append(ordinal)
             arr.append(ver_id)
-
-    def load_site(self, rank: int, changes) -> None:
-        intern = self._symbols.version.intern
-        arr = array("q")
-        for week, version in changes:
-            arr.append(week)
-            arr.append(intern(version))
-        self._sites[rank] = arr
 
     def merge_from(self, other: "PackedWpTrajectories") -> None:
         intern = self._symbols.version.intern
@@ -844,9 +779,6 @@ class SiteSets:
         if existing is None:
             self._sets[host_id] = existing = PackedIntSet()
         existing.add(rank)
-
-    def load(self, host: str, ranks: Iterable[int]) -> None:
-        self._sets[self._domain.intern(host)] = PackedIntSet(ranks)
 
     def load_ids(self, host_id: int, ranks: Iterable[int]) -> None:
         self._sets[host_id] = PackedIntSet(ranks)

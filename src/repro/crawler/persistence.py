@@ -1,34 +1,27 @@
 """Saving and loading observation stores.
 
 The paper publishes its aggregated dataset for future research; this
-module provides the equivalent for downstream users of this library.
-Two codecs coexist:
+module provides the equivalent for downstream users of this library,
+in one encoding:
 
-* **Binary format v2** — the canonical on-disk and on-the-wire
-  encoding (:func:`store_to_bytes` / :func:`store_from_bytes`), used
-  by :func:`save_store`/:func:`load_store`, the shard-worker
-  transport, and the ledger journal.  ``struct``-framed little-endian
-  sections (symbol table, weekly columns, per-site structures), each
-  zlib-compressed, behind a magic/version header and in front of a
-  sha256 trailer.  Symbol ids are remapped to each domain's *sorted*
-  symbol order at encode time, and per-site arrays are delta-encoded,
-  so equal stores — serial or sharded, cached or not, resumed or not —
-  produce byte-identical blobs regardless of runtime intern order
-  (the binary analogue of ``json.dumps(..., sort_keys=True)``).
-
-* **Canonical JSON (format 1)** — :func:`store_to_dict` /
-  :func:`store_from_dict`, retained as the interchange export.  Its
-  output is unchanged from the pre-columnar store, byte for byte under
-  ``sort_keys=True``, which anchors the old byte-identity contracts
-  across the migration; :func:`load_store` still reads legacy JSON
-  documents.
+**Binary format v2** (:func:`store_to_bytes` / :func:`store_from_bytes`)
+is the on-disk and on-the-wire encoding, used by
+:func:`save_store`/:func:`load_store`, the shard-worker transport, and
+the ledger journal.  ``struct``-framed little-endian sections (symbol
+table, weekly columns, per-site structures), each zlib-compressed,
+behind a magic/version header and in front of a sha256 trailer.  Symbol
+ids are remapped to each domain's *sorted* symbol order at encode time,
+and per-site arrays are delta-encoded, so equal stores — serial or
+sharded, cached or not, resumed or not — produce byte-identical blobs
+regardless of runtime intern order (the binary analogue of
+``json.dumps(..., sort_keys=True)``).
 
 Only analysis-facing state is persisted (weekly aggregates, per-site
 trajectories, untrusted-host sets); the memoization caches rebuild on
 demand.
 
-Durability: :func:`save_store` and :func:`export_store_json` write
-through :func:`~repro.durable.atomic_write_bytes`, the one durable-write
+Durability: :func:`save_store` writes through
+:func:`~repro.durable.atomic_write_bytes`, the one durable-write
 primitive — a same-directory temp file, fsync'd and atomically renamed
 into place, then a directory fsync — so a reader can never observe a
 torn write and the new name survives a crash.
@@ -41,7 +34,6 @@ a raw ``struct.error``, ``zlib.error``, or ``KeyError``.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 import zlib
 from array import array
@@ -50,15 +42,12 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple, Union
 
-from ..durable import atomic_write_bytes, parse_json
+from ..durable import atomic_write_bytes
 from ..errors import StoreError
 from ..timeline import StudyCalendar
 from ..vulndb import MatchMode, VersionMatcher, default_database
 from .store import _COLUMN_FIELDS, _SCALAR_FIELDS, ObservationStore
 from .symbols import PAIR_DOMAINS, STRING_DOMAINS
-
-#: JSON export format (the pre-columnar document, unchanged).
-_FORMAT_VERSION = 1
 
 #: Binary store format: magic + version header, struct-framed zlib
 #: sections, sha256 trailer.
@@ -106,182 +95,6 @@ _PAIR = struct.Struct("<IQ")
 _EMPTY_WEEK_TAIL = bytes(
     _U32.size * (len(_WEEK_COLUMN_DOMAINS) + 2 * len(_MODES))
 )
-
-
-def _encode_mode_dict(mapping):
-    return {mode.value: value for mode, value in mapping.items()}
-
-
-# ----------------------------------------------------------------------
-# Canonical JSON export (format 1 — output unchanged by the columnar
-# refactor; the migration anchor for the byte-identity contracts)
-# ----------------------------------------------------------------------
-def store_to_dict(store: ObservationStore) -> dict:
-    """Serialize a store to a JSON-compatible dict."""
-    weeks = []
-    for agg in store.ordered_weeks():
-        weeks.append(
-            {
-                "ordinal": agg.week.ordinal,
-                "collected": agg.collected,
-                "resources": agg.resource_counts.to_dict(),
-                "library_users": agg.library_users.to_dict(),
-                # Sorted so the payload is canonical: serial and merged
-                # sharded stores produce identical documents even though
-                # their intern orders differ.
-                "versions": [
-                    [lib, ver, count]
-                    for (lib, ver), count in sorted(agg.version_counts.items())
-                ],
-                "internal": agg.internal_counts.to_dict(),
-                "external": agg.external_counts.to_dict(),
-                "cdn": agg.cdn_counts.to_dict(),
-                "cdn_hosts": agg.cdn_hosts.to_dict(),
-                "sites_with_external": agg.sites_with_external,
-                "sites_external_no_integrity": agg.sites_external_no_integrity,
-                "crossorigin": agg.crossorigin_values.to_dict(),
-                "integrity_inclusions": agg.integrity_inclusions,
-                "external_inclusions": agg.external_inclusions,
-                "wordpress_sites": agg.wordpress_sites,
-                "wordpress_versions": agg.wordpress_versions.to_dict(),
-                "wordpress_jquery": agg.wordpress_jquery_versions.to_dict(),
-                "library_wp_users": agg.library_wordpress_users.to_dict(),
-                "flash_sites": agg.flash_sites,
-                "flash_by_tier": agg.flash_by_tier.to_dict(),
-                "flash_access_specified": agg.flash_access_specified,
-                "flash_access_always": agg.flash_access_always,
-                "flash_visible": agg.flash_visible,
-                "untrusted_sites": agg.untrusted_sites,
-                "untrusted_sites_with_integrity": agg.untrusted_sites_with_integrity,
-                "untrusted_hosts": agg.untrusted_hosts.to_dict(),
-                "vulnerable_sites": _encode_mode_dict(agg.vulnerable_sites),
-                "vuln_hist": {
-                    mode.value: {str(k): v for k, v in hist.items()}
-                    for mode, hist in agg.vuln_count_hist.items()
-                },
-                "advisory_sites": {
-                    mode.value: sites.to_dict()
-                    for mode, sites in agg.advisory_sites.items()
-                },
-            }
-        )
-    return {
-        "format": _FORMAT_VERSION,
-        "total_observations": store.total_observations,
-        "observed_domains": sorted(store.observed_domains),
-        "weeks": weeks,
-        "trajectories": {
-            str(rank): site.to_dict() for rank, site in store.trajectories.items()
-        },
-        "wp_trajectories": {
-            str(rank): traj for rank, traj in store.wp_trajectories.items()
-        },
-        "flash_spans": {
-            str(rank): list(span) for rank, span in store.flash_spans.items()
-        },
-        "untrusted_site_sets": {
-            host: sorted(sites) for host, sites in store.untrusted_site_sets.items()
-        },
-        "untrusted_urls": store.untrusted_url_counts.to_dict(),
-    }
-
-
-def store_from_dict(
-    payload: dict,
-    calendar: StudyCalendar,
-    matcher: VersionMatcher = None,
-) -> ObservationStore:
-    """Rebuild a store from :func:`store_to_dict` output.
-
-    Raises:
-        StoreError: On an unknown format version, a week mismatch, or a
-            missing/malformed document field (the typed wrapper names
-            the failing field instead of leaking a raw ``KeyError``).
-    """
-    if not isinstance(payload, dict):
-        raise StoreError(
-            f"store payload must be a JSON object, got {type(payload).__name__}"
-        )
-    if payload.get("format") != _FORMAT_VERSION:
-        raise StoreError(f"unsupported store format: {payload.get('format')!r}")
-    if matcher is None:
-        matcher = VersionMatcher(default_database())
-    try:
-        return _store_from_dict_unchecked(payload, calendar, matcher)
-    except KeyError as exc:
-        raise StoreError(
-            "store document is missing a required field",
-            field=str(exc.args[0]) if exc.args else None,
-        ) from exc
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise StoreError(
-            f"store document is malformed ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _store_from_dict_unchecked(
-    payload: dict,
-    calendar: StudyCalendar,
-    matcher: VersionMatcher,
-) -> ObservationStore:
-    store = ObservationStore(calendar, matcher)
-    store.total_observations = payload["total_observations"]
-    store.observed_domains = set(payload["observed_domains"])
-
-    for entry in payload["weeks"]:
-        ordinal = entry["ordinal"]
-        agg = store.weeks.get(ordinal)
-        if agg is None:
-            raise StoreError(f"week ordinal {ordinal} not in calendar")
-        agg.collected = entry["collected"]
-        agg.resource_counts.update(entry["resources"])
-        agg.library_users.update(entry["library_users"])
-        for lib, ver, count in entry["versions"]:
-            agg.version_counts[(lib, ver)] = count
-        agg.internal_counts.update(entry["internal"])
-        agg.external_counts.update(entry["external"])
-        agg.cdn_counts.update(entry["cdn"])
-        for lib, hosts in entry["cdn_hosts"].items():
-            agg.cdn_hosts.update_outer(lib, hosts)
-        agg.sites_with_external = entry["sites_with_external"]
-        agg.sites_external_no_integrity = entry["sites_external_no_integrity"]
-        agg.crossorigin_values.update(entry["crossorigin"])
-        agg.integrity_inclusions = entry["integrity_inclusions"]
-        agg.external_inclusions = entry["external_inclusions"]
-        agg.wordpress_sites = entry["wordpress_sites"]
-        agg.wordpress_versions.update(entry["wordpress_versions"])
-        agg.wordpress_jquery_versions.update(entry["wordpress_jquery"])
-        agg.library_wordpress_users.update(entry["library_wp_users"])
-        agg.flash_sites = entry["flash_sites"]
-        agg.flash_by_tier.update(entry["flash_by_tier"])
-        agg.flash_access_specified = entry["flash_access_specified"]
-        agg.flash_access_always = entry["flash_access_always"]
-        agg.flash_visible = entry["flash_visible"]
-        agg.untrusted_sites = entry["untrusted_sites"]
-        agg.untrusted_sites_with_integrity = entry["untrusted_sites_with_integrity"]
-        agg.untrusted_hosts.update(entry["untrusted_hosts"])
-        for mode_text, value in entry["vulnerable_sites"].items():
-            agg.vulnerable_sites[MatchMode(mode_text)] = value
-        for mode_text, hist in entry["vuln_hist"].items():
-            target = agg.vuln_count_hist[MatchMode(mode_text)]
-            for count_text, sites in hist.items():
-                target[int(count_text)] = sites
-        for mode_text, sites in entry["advisory_sites"].items():
-            agg.advisory_sites[MatchMode(mode_text)].update(sites)
-
-    for rank_text, libs in payload["trajectories"].items():
-        store.trajectories.load_site(
-            int(rank_text),
-            {lib: [tuple(change) for change in traj] for lib, traj in libs.items()},
-        )
-    for rank_text, traj in payload["wp_trajectories"].items():
-        store.wp_trajectories.load_site(int(rank_text), [tuple(c) for c in traj])
-    for rank_text, span in payload["flash_spans"].items():
-        store.flash_spans[int(rank_text)] = (span[0], span[1])
-    for host, sites in payload["untrusted_site_sets"].items():
-        store.untrusted_site_sets.load(host, sites)
-    store.untrusted_url_counts.update(payload["untrusted_urls"])
-    return store
 
 
 # ----------------------------------------------------------------------
@@ -777,25 +590,6 @@ def save_store(store: ObservationStore, path: Union[str, Path]) -> None:
     atomic_write_bytes(Path(path), store_to_bytes(store))
 
 
-def export_store_json(store: ObservationStore, path: Union[str, Path]) -> None:
-    """Write the canonical JSON export (format 1, checksummed).
-
-    The document is the pre-columnar :func:`save_store` output,
-    unchanged: a ``{"checksum", "store"}`` envelope over the sorted
-    :func:`store_to_dict` payload.
-    """
-    payload = store_to_dict(store)
-    body = json.dumps(payload, sort_keys=True)
-    document = json.dumps(
-        {
-            "checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-            "store": payload,
-        },
-        sort_keys=True,
-    )
-    atomic_write_bytes(Path(path), document.encode("utf-8"))
-
-
 def load_store(
     path: Union[str, Path],
     calendar: StudyCalendar,
@@ -803,15 +597,14 @@ def load_store(
 ) -> ObservationStore:
     """Read a store previously written by :func:`save_store`.
 
-    Format-v2 binary blobs verify their sha256 trailer before any
-    section is parsed.  Legacy JSON documents — checksummed envelopes
-    from :func:`export_store_json` / the pre-v2 ``save_store``, or a
-    bare :func:`store_to_dict` payload — still load.
+    The file must be a format-v2 binary blob; its sha256 trailer is
+    verified before any section is parsed.
 
     Raises:
-        StoreError: The file is unreadable, truncated, corrupt, of an
-            unsupported format, or missing fields; the error carries
-            the path and, when identifiable, the failing field.
+        StoreError: The file is unreadable, is not a format-v2 blob
+            (wrong magic or version), or is truncated or corrupt; the
+            error carries the path and, when identifiable, the failing
+            field.
     """
     path = Path(path)
     try:
@@ -820,43 +613,8 @@ def load_store(
         raise StoreError(
             f"cannot read store file ({exc.strerror or exc})", path=path
         ) from exc
-
-    if data[:4] == _MAGIC:
-        try:
-            return store_from_bytes(data, calendar, matcher)
-        except StoreError as exc:
-            if exc.path is None:
-                raise StoreError(exc.message, path=path, field=exc.field) from exc
-            raise
-
     try:
-        document = parse_json(data)
-    except ValueError as exc:
-        raise StoreError(
-            f"store file is neither a format-v2 binary blob nor valid JSON "
-            f"(truncated or corrupt: {exc})",
-            path=path,
-        ) from exc
-    payload = document
-    if isinstance(document, dict) and "checksum" in document:
-        if "store" not in document:
-            raise StoreError(
-                "checksummed store document has no 'store' payload",
-                path=path,
-                field="store",
-            )
-        payload = document["store"]
-        body = json.dumps(payload, sort_keys=True)
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if digest != document["checksum"]:
-            raise StoreError(
-                "store payload fails its sha256 checksum — the file is "
-                "corrupt or was modified after saving",
-                path=path,
-                field="checksum",
-            )
-    try:
-        return store_from_dict(payload, calendar, matcher)
+        return store_from_bytes(data, calendar, matcher)
     except StoreError as exc:
         if exc.path is None:
             raise StoreError(exc.message, path=path, field=exc.field) from exc

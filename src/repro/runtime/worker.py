@@ -181,15 +181,16 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
     """Crawl one shard into a fresh store and return its payload.
 
     Returns:
-        ``{"store": <store>, "pages": int, "failures": int,
-        "cache_hits": int, "cache_misses": int,
+        ``{"ok": True, "store": <store>,
         "metrics": <Instruments.to_payload dict>}``, where the store is
         :func:`~repro.crawler.persistence.store_to_bytes` bytes on the
         process backend and the live store otherwise.  The metrics are
         captured here, in-worker, alongside the shard's store — they
         ride the same payload through the journal and the dispatch
         fold, which is what makes the folded telemetry identical for
-        live, retried, and replayed shards.
+        live, retried, and replayed shards.  They are the one home of
+        the shard's counters (``crawl.pages``, ``crawl.fetch_failures``,
+        ``cache.hits``, ``cache.misses``).
 
     Raises:
         InjectedWorkerCrash: The task's fault plan scheduled a crash for
@@ -273,10 +274,6 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
         "store": (
             store_to_bytes(store) if task.backend_name == "process" else store
         ),
-        "pages": instruments.counter("crawl.pages"),
-        "failures": instruments.counter("crawl.fetch_failures"),
-        "cache_hits": instruments.counter("cache.hits"),
-        "cache_misses": instruments.counter("cache.misses"),
         "metrics": instruments.to_payload(),
     }
 

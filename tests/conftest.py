@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ScenarioConfig, Study
+from repro.analysis.api import AnalysisContext, available_analyses, run_analyses
 from repro.fingerprint import FingerprintEngine
 from repro.vulndb import VersionMatcher, default_database
 from repro.webgen import WebEcosystem
@@ -34,6 +35,27 @@ def count_calls(monkeypatch, *targets) -> dict:
 
         monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def assert_same_reads(decoded, live, config) -> None:
+    """``decoded`` reads as ``live`` does, checked without the encoder.
+
+    Re-encoding a decoded store cannot catch a field the encoder drops,
+    so a store round trip is also judged by what readers see: every
+    registered analysis, and the per-site views.
+    """
+    database = default_database()
+    context = AnalysisContext(
+        config=config, database=database, matcher=VersionMatcher(database)
+    )
+    results = run_analyses(live, context)
+    assert len(results) == len(available_analyses()) == 17
+    assert run_analyses(decoded, context) == results
+    assert decoded.trajectories == live.trajectories
+    assert decoded.wp_trajectories == live.wp_trajectories
+    assert decoded.flash_spans == live.flash_spans
+    assert decoded.untrusted_site_sets == live.untrusted_site_sets
+    assert decoded.untrusted_url_counts == live.untrusted_url_counts
 
 
 SMALL_POPULATION = 500

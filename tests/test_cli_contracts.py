@@ -234,6 +234,48 @@ class TestSweepReportErrors:
         self._assert_clean_failure(proc, "no folded sweep document")
 
 
+class TestServeStoreErrors:
+    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
+
+    def test_json_store_is_refused(self, tmp_path):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({"checksum": "0" * 64, "store": {}}))
+        proc = _cli("serve", "--store", str(store), "--port", "0")
+        self._assert_clean_failure(proc, "not a binary store blob")
+
+
+class TestUnwritableOutputPaths:
+    """An output path the CLI cannot write exits 2 before any work.
+
+    ``{missing}`` is a directory that does not exist and ``{file}`` a
+    regular file, so neither can hold what the flag writes.
+    """
+
+    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
+    _RUN = ["run", "--population", "30", "--weeks", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*_RUN, "--save-store", "{missing}/x.bin"],
+            [*_RUN, "--metrics-out", "{missing}/m.json"],
+            [*_RUN, "--checkpoint-dir", "{file}/ck"],
+            ["orchestrate", "run", "--queue-dir", "{file}/q"],
+            ["sweep", "run", "--queue-dir", "{file}/q"],
+        ],
+        ids=["save-store", "metrics-out", "checkpoint-dir", "orchestrate", "sweep"],
+    )
+    def test_exits_2_before_any_work(self, tmp_path, argv):
+        regular = tmp_path / "F"
+        regular.write_text("")
+        flag, value = argv[-2:]
+        path = value.format(missing=tmp_path / "missing", file=regular)
+        proc = _cli(*argv[:-1], path)
+        self._assert_clean_failure(proc, f"{flag} {path}")
+        assert proc.stdout == ""  # no crawl ran, no report printed
+        assert sorted(tmp_path.iterdir()) == [regular]
+
+
 # ----------------------------------------------------------------------
 # Orchestrate: run/status contract
 # ----------------------------------------------------------------------

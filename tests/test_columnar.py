@@ -7,14 +7,13 @@ Covers the PR-6 surface:
 * the WordPress-trajectory fallback-normalization fix;
 * ``observed_versions`` memoization and invalidation;
 * binary format v2: roundtrip, canonical byte identity, the corruption
-  matrix (truncation, bit flips, wrong format id), and the legacy JSON
-  interchange path — including the pinned pre-refactor export digest.
+  matrix (truncation, bit flips, wrong format id), and the pinned digest
+  of one whole-calendar crawl.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 import zlib
 
@@ -24,13 +23,10 @@ from repro import ScenarioConfig
 from repro.crawler import Crawler, ObservationStore
 from repro.crawler.persistence import (
     BINARY_FORMAT_VERSION,
-    export_store_json,
     load_store,
     save_store,
     store_from_bytes,
-    store_from_dict,
     store_to_bytes,
-    store_to_dict,
 )
 from repro.crawler.symbols import SymbolTable
 from repro.errors import StoreError
@@ -38,6 +34,8 @@ from repro.fingerprint.profile import LibraryDetection, PageProfile
 from repro.vulndb import MatchMode, VersionMatcher, default_database
 from repro.webgen import WebEcosystem
 from repro.webgen.domains import Domain, Reachability
+
+from conftest import assert_same_reads
 
 
 def _domain(rank: int) -> Domain:
@@ -118,7 +116,7 @@ class TestColumnViews:
         agg = store.ordered_weeks()[0]
         counter = agg.library_users
         assert not counter and len(counter) == 0
-        counter["jquery"] = 3
+        counter.inc_id(store.symbols.library.intern("jquery"), 3)
         counter.inc_id(store.symbols.library.intern("react"))
         assert counter["jquery"] == 3 and counter.get("react") == 1
         assert counter.get("absent", 7) == 7 and "absent" not in counter
@@ -129,9 +127,11 @@ class TestColumnViews:
 
     def test_trajectory_view_decodes_tuples(self):
         store = _store()
-        store.trajectories.load_site(
-            4, {"jquery": [(0, "1.0"), (3, "2.0")]}
-        )
+        jquery = store.symbols.library.intern("jquery")
+        for week, version in ((0, "1.0"), (1, "1.0"), (3, "2.0")):
+            store.trajectories.observe(
+                4, jquery, week, store.symbols.version.intern(version)
+            )
         site = store.trajectories[4]
         assert site["jquery"] == [(0, "1.0"), (3, "2.0")]
         assert site.get("react") is None
@@ -258,7 +258,7 @@ class TestBinaryRoundTrip:
         store, config = _crawled_store()
         blob = store_to_bytes(store)
         loaded = store_from_bytes(blob, config.calendar)
-        assert store_to_dict(loaded) == store_to_dict(store)
+        assert_same_reads(loaded, store, config)
         # Re-encoding the load is byte-identical: the encoding is a
         # pure function of store content, not intern history.
         assert store_to_bytes(loaded) == blob
@@ -275,14 +275,16 @@ class TestBinaryRoundTrip:
         save_store(store, path)
         assert path.read_bytes()[:4] == b"RPS2"
         loaded = load_store(path, config.calendar)
-        assert store_to_dict(loaded) == store_to_dict(store)
+        assert_same_reads(loaded, store, config)
+        assert store_to_bytes(loaded) == path.read_bytes()
 
     def test_empty_store_roundtrips(self):
         config = ScenarioConfig(population=10, seed=1)
         store = _store(config)
         blob = store_to_bytes(store)
         loaded = store_from_bytes(blob, config.calendar)
-        assert store_to_dict(loaded) == store_to_dict(store)
+        assert_same_reads(loaded, store, config)
+        assert store_to_bytes(loaded) == blob
 
 
 class TestCorruptionMatrix:
@@ -394,7 +396,7 @@ class TestEmptyWeeks:
         assert held == [0, 5, 9]
         blob = store_to_bytes(store)
         loaded = store_from_bytes(blob, config.calendar)
-        assert store_to_dict(loaded) == store_to_dict(store)
+        assert_same_reads(loaded, store, config)
         assert store_to_bytes(loaded) == blob
 
     def test_emptiness_is_read_from_the_columns(self):
@@ -409,7 +411,11 @@ class TestEmptyWeeks:
         blob = store_to_bytes(store)
         loaded = store_from_bytes(blob, config.calendar)
         assert loaded.weeks[3].collected == 0
-        assert store_to_dict(loaded) == store_to_dict(store)
+        assert loaded.weeks[3].resource_counts == {"script": 1}
+        assert loaded.weeks[3].advisory_sites[MatchMode.TVV] == {
+            "CVE-2020-11022": 1
+        }
+        assert_same_reads(loaded, store, config)
         assert store_to_bytes(loaded) == blob
 
     @pytest.fixture(scope="class")
@@ -449,53 +455,19 @@ class TestEmptyWeeks:
 
 
 class TestJsonInterchange:
-    """The canonical JSON export anchors the migration."""
-
-    def test_export_is_loadable_and_checksummed(self, tmp_path):
-        store, config = _crawled_store(population=20, seed=2, n_weeks=2)
-        path = tmp_path / "store.json"
-        export_store_json(store, path)
-        document = json.loads(path.read_text())
-        body = json.dumps(document["store"], sort_keys=True)
-        assert (
-            hashlib.sha256(body.encode()).hexdigest() == document["checksum"]
-        )
-        loaded = load_store(path, config.calendar)
-        assert store_to_dict(loaded) == store_to_dict(store)
-
-    def test_json_tamper_fails_checksum(self, tmp_path):
-        store, config = _crawled_store(population=20, seed=2, n_weeks=2)
-        path = tmp_path / "store.json"
-        export_store_json(store, path)
-        document = json.loads(path.read_text())
-        document["store"]["total_observations"] += 1
-        path.write_text(json.dumps(document, sort_keys=True))
-        with pytest.raises(StoreError, match="checksum"):
-            load_store(path, config.calendar)
-
-    def test_dict_codec_roundtrip(self):
-        store, config = _crawled_store(population=30, seed=4, n_weeks=3)
-        payload = json.loads(json.dumps(store_to_dict(store)))
-        loaded = store_from_dict(payload, config.calendar)
-        assert store_to_dict(loaded) == store_to_dict(store)
-        # And the binary encodings agree: both codecs describe the same
-        # store.
-        assert store_to_bytes(loaded) == store_to_bytes(store)
+    """The crawl that anchored the migration to the binary store."""
 
     def test_pinned_migration_digest(self):
-        """The JSON export is byte-for-byte the pre-columnar document.
+        """The seed scenario's whole-calendar store, byte for byte.
 
-        The digest below was computed on the pre-refactor dict-based
-        store for the same scenario; the columnar store must keep
-        producing it forever (it anchors every byte-identity contract
-        across the format migration).
+        The same crawl anchored the move from the pre-columnar JSON
+        document to binary format v2; any change to what it records,
+        or to how format v2 encodes it, moves the digest.
         """
         config = ScenarioConfig(population=500, seed=123)
         crawler = Crawler(WebEcosystem(config), mode="manifest")
         crawler.run()
-        digest = hashlib.sha256(
-            json.dumps(store_to_dict(crawler.store), sort_keys=True).encode()
-        ).hexdigest()
+        digest = hashlib.sha256(store_to_bytes(crawler.store)).hexdigest()
         assert digest == (
-            "eac5e15856050c1725a2405f3c5157338180f9fb30ae11181ac70404af1d42ef"
+            "adba6bc835c67faf6d2a3a2f52c25035d9ff3435d9e69f9c509445318f3dab71"
         )

@@ -214,7 +214,7 @@ class TestCrawler:
         HTTP error the fetcher does not retry).
         """
         from repro.config import AccessibilityConfig
-        from repro.crawler.persistence import store_to_dict
+        from repro.crawler.persistence import store_to_bytes
 
         acc = AccessibilityConfig(flaky_server_error_rate=0.4)
         config = ScenarioConfig(population=200, seed=77, accessibility=acc)
@@ -246,11 +246,11 @@ class TestCrawler:
 
         assert report_full.pages_collected == report_fast.pages_collected
         assert report_full.fetch_failures == report_fast.fetch_failures
-        assert store_to_dict(full.store) == store_to_dict(fast.store)
+        assert store_to_bytes(full.store) == store_to_bytes(fast.store)
 
     def test_profile_cache_counters(self):
         """Hit/miss accounting: one lookup per collected manifest page."""
-        from repro.crawler.persistence import store_to_dict
+        from repro.crawler.persistence import store_to_bytes
         from repro.options import ExecutionOptions, RunOptions
 
         config = ScenarioConfig(population=100, seed=7)
@@ -277,7 +277,7 @@ class TestCrawler:
         )
         report_off = off.run(weeks=weeks)
         assert report_off.cache_hits == 0 and report_off.cache_misses == 0
-        assert store_to_dict(on.store) == store_to_dict(off.store)
+        assert store_to_bytes(on.store) == store_to_bytes(off.store)
 
     def test_manifest_mode_builds_no_engine(self):
         config = ScenarioConfig(population=50, seed=1)

@@ -36,12 +36,7 @@ import proptest
 from repro import FaultPlan, ScenarioConfig
 from repro.config import AccessibilityConfig
 from repro.crawler import Crawler, ObservationStore
-from repro.crawler.persistence import (
-    store_from_bytes,
-    store_from_dict,
-    store_to_bytes,
-    store_to_dict,
-)
+from repro.crawler.persistence import store_from_bytes, store_to_bytes
 from repro.options import (
     DurabilityOptions,
     ExecutionOptions,
@@ -75,7 +70,7 @@ def _serial_baseline(config, weeks, mode="manifest"):
     Crawler(ecosystem, store=store, mode=mode, apply_filter=False).crawl_block(
         weeks, list(ecosystem.population)
     )
-    return store_to_dict(store)
+    return store_to_bytes(store)
 
 
 def _run_crawler(
@@ -112,7 +107,7 @@ def _run_crawler(
         ),
     )
     report = crawler.run(weeks=weeks)
-    return report, store_to_dict(crawler.store)
+    return report, store_to_bytes(crawler.store)
 
 
 class TestBackendIdentityFaultFree:
@@ -255,13 +250,13 @@ class TestMergeAlgebra:
                     weeks[week_lo:week_hi],
                     list(ecosystem.population)[domain_lo:domain_hi],
                 )
-                partials.append(store_to_dict(store))
+                partials.append(store_to_bytes(store))
 
             def fold(order):
                 acc = _fresh_store(config)
                 for i in order:
-                    acc.merge(store_from_dict(partials[i], config.calendar))
-                return store_to_dict(acc)
+                    acc.merge(store_from_bytes(partials[i], config.calendar))
+                return store_to_bytes(acc)
 
             identity = list(range(len(partials)))
             shuffled = identity[:]
@@ -762,7 +757,6 @@ class TestTrajectoryMergePartitions:
             for partial in partials:
                 merged.merge(partial)
             assert store_to_bytes(merged) == baseline
-            assert store_to_dict(merged) == store_to_dict(serial)
 
         proptest.forall(prop)
 

@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro import FaultPlan, ScenarioConfig, Study
 from repro.crawler import Crawler
-from repro.crawler.persistence import save_store, store_to_bytes, store_to_dict
+from repro.crawler.persistence import store_to_bytes
 from repro.errors import CheckpointError, CheckpointMismatchError, ConfigError
 from repro.options import (
     DurabilityOptions,
@@ -79,7 +79,7 @@ def _run(
         options=_options(checkpoint, resume, backend, workers, plan),
     )
     report = crawler.run(weeks=weeks)
-    return report, store_to_dict(crawler.store)
+    return report, store_to_bytes(crawler.store)
 
 
 def _journal_entries(root: Path):
@@ -372,7 +372,7 @@ class TestCorruptionPaths:
         def tamper(entry_file):
             header, body = _read_entry(entry_file)
             store_blob, meta = _split_body(body)
-            meta["pages"] = meta["pages"] + 1
+            meta["metrics"]["counters"]["crawl.pages"] += 1
             # Old checksum, new body bytes: must be rejected.
             _write_entry(entry_file, header, _build_body(store_blob, meta))
 
@@ -640,23 +640,11 @@ class TestKillMidRun:
         report, store = _run(
             checkpoint=work, resume=True, backend=backend, plan=plan
         )
+        # The bytes save_store would persist, equal to the uninterrupted
+        # run's.
         assert store == baseline
         assert report.shards_replayed == replayable
         assert report.shards_replayed + report.shards_reexecuted == 6
-        # And the *persisted* artifact matches byte for byte.
-        uninterrupted = tmp_path / f"uninterrupted-{backend}.json"
-        resumed = tmp_path / f"resumed-{backend}.json"
-        _store_bytes(baseline, uninterrupted)
-        _store_bytes(store, resumed)
-        assert uninterrupted.read_bytes() == resumed.read_bytes()
-
-
-def _store_bytes(store_dict, path):
-    """save_store for an already-serialized store dict."""
-    from repro.crawler.persistence import store_from_dict
-
-    store = store_from_dict(store_dict, _CONFIG.calendar)
-    save_store(store, path)
 
 
 class TestCliCheckpointFlags:
@@ -664,8 +652,8 @@ class TestCliCheckpointFlags:
         from repro.cli import main
 
         root = tmp_path / "ledger"
-        ref = tmp_path / "ref.json"
-        resumed = tmp_path / "resumed.json"
+        ref = tmp_path / "ref.bin"
+        resumed = tmp_path / "resumed.bin"
         args = [
             "run",
             "--population",

@@ -1,20 +1,15 @@
 """Regression analysis, store persistence, CLI."""
 
-import json
 import re
 
 import pytest
 
 from repro.analysis.regressions import Regression, find_regressions
-from repro.crawler.persistence import (
-    export_store_json,
-    load_store,
-    save_store,
-    store_from_dict,
-    store_to_dict,
-)
+from repro.crawler.persistence import load_store, save_store
 from repro.errors import StoreError
 from repro.vulndb import MatchMode
+
+from conftest import assert_same_reads
 
 
 class TestRegressions:
@@ -28,9 +23,7 @@ class TestRegressions:
     def test_detects_injected_downgrade(self, store, matcher):
         # Clone the trajectories and inject a rollback past a patch
         # boundary: 3.5.1 -> 1.12.4 re-enters four jQuery CVE ranges.
-        import copy
-
-        hacked = copy.deepcopy(store.trajectories)
+        hacked = store.trajectories.to_dict()
         hacked[999_999] = {"jquery": [(0, "3.5.1"), (50, "1.12.4")]}
 
         class _FakeStore:
@@ -55,7 +48,7 @@ class TestRegressions:
 
 class TestPersistence:
     def test_roundtrip(self, store, study, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store.bin"
         save_store(store, path)
         loaded = load_store(path, study.config.calendar)
 
@@ -73,11 +66,12 @@ class TestPersistence:
             )
         assert loaded.trajectories == store.trajectories
         assert loaded.flash_spans == store.flash_spans
+        assert_same_reads(loaded, store, study.config)
 
     def test_analyses_identical_after_reload(self, store, study, tmp_path):
         from repro.analysis.vulnerable import prevalence
 
-        path = tmp_path / "store.json"
+        path = tmp_path / "store.bin"
         save_store(store, path)
         loaded = load_store(path, study.config.calendar)
         assert (
@@ -98,27 +92,17 @@ class TestPersistence:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        for write, name in (
-            (save_store, "store.bin"),
-            (export_store_json, "store.json"),
-        ):
-            synced.clear()
-            write(store, tmp_path / name)
-            # The file's bytes first, then the directory holding its name.
-            assert synced == [False, True], name
+        save_store(store, tmp_path / "store.bin")
+        # The file's bytes first, then the directory holding its name.
+        assert synced == [False, True]
 
     def test_nested_json_store_is_a_typed_error(self, study, tmp_path):
         path = tmp_path / "nested.json"
         path.write_bytes(b"[" * 200_000)
-        with pytest.raises(StoreError, match="neither a format-v2"):
+        with pytest.raises(StoreError, match="not a binary store blob") as caught:
             load_store(path, study.config.calendar)
-
-    def test_bad_format_rejected(self, study):
-        with pytest.raises(StoreError):
-            store_from_dict({"format": 999}, study.config.calendar)
-
-    def test_json_serializable(self, store):
-        assert json.dumps(store_to_dict(store))
+        assert "magic b'[[[['" in caught.value.message
+        assert caught.value.path == str(path)
 
     def test_backwards_trajectory_is_a_typed_store_error(self):
         # Two blocks crawled into one store out of calendar order — the
@@ -224,7 +208,7 @@ class TestCli:
     def test_run_small(self, tmp_path, capsys):
         from repro.cli import main
 
-        store_path = tmp_path / "s.json"
+        store_path = tmp_path / "s.bin"
         code = main(
             [
                 "run",

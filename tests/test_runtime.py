@@ -12,13 +12,10 @@ import pytest
 
 from repro import ScenarioConfig, Study
 from repro.crawler import Crawler, ObservationStore
-from repro.crawler.persistence import (
-    store_from_dict,
-    store_to_bytes,
-    store_to_dict,
-)
+from repro.crawler.persistence import store_from_bytes, store_to_bytes
 from repro.errors import ConfigError, CrawlError, StoreError
 from repro.fingerprint import FingerprintEngine
+from repro.obs import Instruments
 from repro.options import ExecutionOptions, RunOptions
 from repro.runtime import (
     ProcessBackend,
@@ -223,7 +220,7 @@ class TestStoreMerge:
                     agg.advisory_sites[mode]
                 )
         # Full canonical equality via the persistence codec.
-        assert store_to_dict(merged) == store_to_dict(serial_store)
+        assert store_to_bytes(merged) == store_to_bytes(serial_store)
 
     def test_merge_is_associative(self, split_config, split_weeks, serial_store):
         splits = [(0, 24, 0, 30), (0, 24, 30, 75), (0, 24, 75, 100)]
@@ -237,17 +234,17 @@ class TestStoreMerge:
                 split_weeks[week_lo:week_hi],
                 list(ecosystem.population)[domain_lo:domain_hi],
             )
-            partials.append(store_to_dict(store))
+            partials.append(store_to_bytes(store))
 
         def fold(order):
             acc = _fresh_store(split_config)
             for i in order:
                 acc.merge(
-                    store_from_dict(partials[i], split_config.calendar)
+                    store_from_bytes(partials[i], split_config.calendar)
                 )
-            return store_to_dict(acc)
+            return store_to_bytes(acc)
 
-        assert fold([0, 1, 2]) == fold([2, 0, 1]) == store_to_dict(serial_store)
+        assert fold([0, 1, 2]) == fold([2, 0, 1]) == store_to_bytes(serial_store)
 
     def test_merge_calendar_mismatch_rejected(self, split_config):
         from repro.timeline import StudyCalendar
@@ -297,7 +294,7 @@ class TestBackendEquivalence:
         assert report.pages_collected == serial_study.crawl_report.pages_collected
         assert report.fetch_failures == serial_study.crawl_report.fetch_failures
         assert report.domains_crawled == serial_study.crawl_report.domains_crawled
-        assert store_to_dict(study.store) == store_to_dict(serial_study.store)
+        assert store_to_bytes(study.store) == store_to_bytes(serial_study.store)
         assert study.results() == serial_study.results()
 
     def test_full_mode_sharded_matches_serial(self):
@@ -313,7 +310,7 @@ class TestBackendEquivalence:
             ),
         )
         sharded.run(weeks=weeks)
-        assert store_to_dict(sharded.store) == store_to_dict(serial.store)
+        assert store_to_bytes(sharded.store) == store_to_bytes(serial.store)
 
 
 class TestIncrementalEquivalence:
@@ -369,7 +366,7 @@ class TestIncrementalEquivalence:
         assert report.fetch_failures == baseline.fetch_failures
         assert report.cache_hits > 0
         # Byte-identical persisted stores: cache on == cache off.
-        assert store_to_dict(study.store) == store_to_dict(uncached_full.store)
+        assert store_to_bytes(study.store) == store_to_bytes(uncached_full.store)
 
     def test_cache_disabled_reports_zero_counters(self, uncached_full):
         report = uncached_full.crawl_report
@@ -415,14 +412,18 @@ class TestIncrementalEquivalence:
                     ),
                 )
             )
-            return payload, store_to_bytes(payload["store"])
+            return (
+                Instruments.from_payload(payload["metrics"]),
+                store_to_bytes(payload["store"]),
+            )
 
         (cached, cached_store), (uncached, uncached_store) = (
             shard(True),
             shard(False),
         )
-        assert cached["cache_hits"] > 0
-        assert uncached["cache_hits"] == uncached["cache_misses"] == 0
+        assert cached.counter("cache.hits") > 0
+        assert uncached.counter("cache.hits") == 0
+        assert uncached.counter("cache.misses") == 0
         assert uncached_store == cached_store
 
     def test_cache_hit_skips_render_and_fingerprint(self, monkeypatch):
@@ -480,7 +481,7 @@ class TestIncrementalEquivalence:
         assert (
             report.cache_hits + report.cache_misses == report.pages_collected
         )
-        assert store_to_dict(on.store) == store_to_dict(off.store)
+        assert store_to_bytes(on.store) == store_to_bytes(off.store)
 
 
 class TestPersistenceUnderMerge:
@@ -491,15 +492,8 @@ class TestPersistenceUnderMerge:
         merged = _crawl_split(
             config, weeks, [(0, 12, 0, 45), (0, 12, 45, 90)]
         )
-        payload = store_to_dict(merged)
-        assert payload == store_to_dict(serial)
-        reloaded = store_from_dict(payload, config.calendar)
-        assert store_to_dict(reloaded) == payload
+        blob = store_to_bytes(merged)
+        assert blob == store_to_bytes(serial)
+        reloaded = store_from_bytes(blob, config.calendar)
+        assert store_to_bytes(reloaded) == blob
         assert reloaded.trajectories == serial.trajectories
-
-    def test_format_version_mismatch_rejected(self):
-        config = ScenarioConfig(population=60, seed=3)
-        with pytest.raises(StoreError):
-            store_from_dict({"format": 999}, config.calendar)
-        with pytest.raises(StoreError):
-            store_from_dict({}, config.calendar)
