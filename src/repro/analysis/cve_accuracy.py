@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from ..crawler.columns import ColumnCounter
 from ..crawler.store import ObservationStore
 from ..semver import ReleaseCatalog, Version, builtin_catalogs
 from ..vulndb import (
@@ -136,23 +137,35 @@ class AffectedSeries:
         return sum(gaps) / max(len(gaps), 1)
 
 
+def _mode_columns(store: ObservationStore) -> Tuple[List[ColumnCounter], ...]:
+    """Each week's stated- and true-range advisory columns, in week order."""
+    aggregates = store.ordered_weeks()
+    return tuple(
+        [agg.advisory_sites[mode] for agg in aggregates]
+        for mode in (MatchMode.CVE, MatchMode.TVV)
+    )
+
+
+def _weekly_counts(
+    store: ObservationStore, columns: List[ColumnCounter], identifier: str
+) -> List[int]:
+    """One advisory's cell of each column, read by its symbol id."""
+    advisory_id = store.symbols.advisory.lookup(identifier)
+    if advisory_id is None:
+        return [0] * len(columns)
+    return [column.get_id(advisory_id) for column in columns]
+
+
 def affected_series(
     store: ObservationStore, advisory: Advisory
 ) -> AffectedSeries:
     """Weekly affected counts for one advisory under both range sets."""
-    aggregates = store.ordered_weeks()
-    identifier = advisory.identifier
+    stated, true = _mode_columns(store)
     return AffectedSeries(
         advisory=advisory,
-        dates=[agg.week.date.isoformat() for agg in aggregates],
-        stated_counts=[
-            agg.advisory_sites[MatchMode.CVE].get(identifier, 0)
-            for agg in aggregates
-        ],
-        true_counts=[
-            agg.advisory_sites[MatchMode.TVV].get(identifier, 0)
-            for agg in aggregates
-        ],
+        dates=[agg.week.date.isoformat() for agg in store.ordered_weeks()],
+        stated_counts=_weekly_counts(store, stated, advisory.identifier),
+        true_counts=_weekly_counts(store, true, advisory.identifier),
     )
 
 
@@ -189,15 +202,13 @@ def refinement(
         for a in database
         if classify_accuracy(a) in (RangeAccuracy.UNDERSTATED, RangeAccuracy.OVERSTATED)
     ]
+    stated_columns, true_columns = _mode_columns(store)
     gaps = []
     for advisory in incorrect:
-        series = affected_series(store, advisory)
+        stated = _weekly_counts(store, stated_columns, advisory.identifier)
+        true = _weekly_counts(store, true_columns, advisory.identifier)
         gaps.append(
-            sum(
-                abs(t - s)
-                for s, t in zip(series.stated_counts, series.true_counts)
-            )
-            / max(len(series.stated_counts), 1)
+            sum(abs(t - s) for s, t in zip(stated, true)) / max(len(stated), 1)
         )
     return RefinementResult(
         average_share_cve=result.average_share[MatchMode.CVE],

@@ -90,17 +90,35 @@ def _contains(range_set: RangeSet, version: str) -> bool:
         return False
 
 
+#: One site's ``(week ordinal, version id)`` changes for one library.
+Trajectory = List[Tuple[int, int]]
+
+
+def library_trajectories(store: ObservationStore, library: str) -> List[Trajectory]:
+    """Every site's trajectory of one library, read from the packed
+    store once; each advisory of the library then walks the same list."""
+    lib_id = store.symbols.library.lookup(library)
+    return [
+        list(zip(changes[::2], changes[1::2]))
+        for changes in store.trajectories.library_changes(lib_id)
+    ]
+
+
 def advisory_delay(
     store: ObservationStore,
     advisory: Advisory,
     mode: MatchMode = MatchMode.CVE,
+    *,
+    trajectories: Optional[List[Trajectory]] = None,
 ) -> AdvisoryDelay:
     """Window-of-vulnerability statistics for one advisory.
 
     Sites enter the at-risk cohort if they are observed on an affected
     version at (or first after) the patch-availability date; they leave
     it at the first observed version outside the affected range.  Sites'
-    packed ``(week, version id)`` changes are walked by id.
+    ``(week, version id)`` changes are walked by id: ``trajectories``
+    is :func:`library_trajectories` of the advisory's library, read
+    here when not given.
     """
     calendar = store.calendar
     patched_on = advisory.patched_on
@@ -123,11 +141,11 @@ def advisory_delay(
     affected_id = functools.lru_cache(maxsize=None)(  # per version id, this call
         lambda ver_id: _contains(affected, decode(ver_id))
     )
+    if trajectories is None:
+        trajectories = library_trajectories(store, advisory.library)
     delays: List[int] = []
     censored = 0
-    lib_id = store.symbols.library.lookup(advisory.library)
-    for changes in store.trajectories.library_changes(lib_id):
-        trajectory = list(zip(changes[::2], changes[1::2]))
+    for trajectory in trajectories:
         current = _version_at(trajectory, start_ordinal)
         if current is None or not affected_id(current):
             continue
@@ -164,13 +182,17 @@ def update_delays(
     libraries: Tuple[str, ...] = TOP15_ORDER,
 ) -> DelayResult:
     """RQ2 across all patched advisories on the given libraries."""
-    results = []
-    for advisory in database:
-        if advisory.library not in libraries:
-            continue
-        if advisory.patched_on is None:
-            continue
-        results.append(advisory_delay(store, advisory, mode=mode))
+    patched = [
+        a for a in database if a.library in libraries and a.patched_on is not None
+    ]
+    by_library = {
+        library: library_trajectories(store, library)
+        for library in {a.library for a in patched}
+    }
+    results = [
+        advisory_delay(store, a, mode=mode, trajectories=by_library[a.library])
+        for a in patched
+    ]
     return DelayResult(per_advisory=results, mode=mode)
 
 

@@ -7,6 +7,11 @@ uses it) and the crawler's cross-run profile store segments;
 :func:`canonical_digest` hashes it to digest a run's identity.  It
 imports nothing from the rest of the package, so any layer may use it
 without an import cycle.
+
+Encoding dispatches on ``type(value)`` through ``_ENCODERS``: one
+encoder function per class encoded, found once by testing the rules in
+order, and safe to share because it depends on the class alone.  The
+value-level fallback tests each value, so its classes are never entered.
 """
 
 from __future__ import annotations
@@ -16,6 +21,13 @@ import datetime
 import enum
 import hashlib
 import json
+from operator import itemgetter, methodcaller
+from typing import Callable, Dict, Optional, Tuple
+
+Encoder = Callable[[object], object]
+
+#: class -> the encoder for every instance of exactly that class
+_ENCODERS: Dict[type, Encoder] = {}
 
 
 def to_canonical_dict(value: object) -> object:
@@ -26,28 +38,79 @@ def to_canonical_dict(value: object) -> object:
     sets are sorted; anything else with a ``describe()`` (version
     ranges) or ``text`` (versions) uses that, else ``str()``.
     """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, enum.Enum):
-        return to_canonical_dict(value.value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: to_canonical_dict(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-    if isinstance(value, (datetime.datetime, datetime.date)):
-        return value.isoformat()
-    if isinstance(value, dict):
-        return {
-            _key(k): to_canonical_dict(v)
-            for k, v in sorted(value.items(), key=lambda item: _key(item[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [to_canonical_dict(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(to_canonical_dict(item) for item in value)
+    encoder = _ENCODERS.get(type(value)) or _encoder_for(type(value))
+    return encoder(value) if encoder is not None else _fallback(value)
+
+
+def _encoder_for(cls: type) -> Optional[Encoder]:
+    """Enter and return the encoder of ``cls``'s instances, testing the
+    rules in their order; None leaves the class to the fallback."""
+    if cls is type(None) or issubclass(cls, (bool, int, str)):
+        encoder: Encoder = _same
+    elif issubclass(cls, float):
+        encoder = float
+    elif issubclass(cls, enum.Enum):
+        encoder = _encode_enum
+    elif dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        encoder = _fields_encoder(tuple(f.name for f in dataclasses.fields(cls)))
+    elif issubclass(cls, (datetime.datetime, datetime.date)):
+        encoder = methodcaller("isoformat")
+    elif issubclass(cls, dict):
+        encoder = _encode_dict
+    elif issubclass(cls, (list, tuple)):
+        encoder = _encode_items
+    elif issubclass(cls, (set, frozenset)):
+        encoder = _encode_set
+    else:
+        return None
+    _ENCODERS[cls] = encoder
+    return encoder
+
+
+def _same(value: object) -> object:
+    return value
+
+
+def _encode_enum(value: enum.Enum) -> object:
+    return to_canonical_dict(value.value)
+
+
+def _fields_encoder(names: Tuple[str, ...]) -> Encoder:
+    def encode(value: object) -> Dict[str, object]:
+        get = _ENCODERS.get
+        result = {}
+        for name in names:
+            item = getattr(value, name)
+            encoder = get(type(item))
+            result[name] = (
+                encoder(item) if encoder is not None else to_canonical_dict(item)
+            )
+        return result
+
+    return encode
+
+
+def _encode_set(value) -> list:
+    return sorted(_encode_items(value))
+
+
+def _encode_dict(value: dict) -> Dict[str, object]:
+    keyed = sorted(((_key(k), v) for k, v in value.items()), key=itemgetter(0))
+    return dict(zip([k for k, _ in keyed], _encode_items([v for _, v in keyed])))
+
+
+def _encode_items(items) -> list:
+    """Each item encoded, its class's encoder looked up inline."""
+    get = _ENCODERS.get
+    result = []
+    for item in items:
+        encoder = get(type(item))
+        result.append(encoder(item) if encoder is not None else to_canonical_dict(item))
+    return result
+
+
+def _fallback(value: object) -> object:
+    """Values whose own attributes decide, tested on every call."""
     if hasattr(value, "item") and callable(value.item):  # numpy scalar
         return to_canonical_dict(value.item())
     if hasattr(value, "describe") and callable(value.describe):

@@ -309,11 +309,19 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.population <= 0:
             raise ConfigError("population must be positive")
+        check_seed(self.seed)
 
     @property
     def scale_factor(self) -> float:
         """Ratio of the paper's weekly-accessible average to ours."""
         return 782_300 / float(self.population)
+
+
+def check_seed(seed: object) -> None:
+    """Refuse a seed that is not an int >= 0 (a bool is refused): the
+    generator seeds its streams with it."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def scenario_digest(config: ScenarioConfig) -> str:

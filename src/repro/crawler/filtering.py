@@ -9,7 +9,8 @@ the last month** of the collection period.
 virtual network before the main crawl, so the main crawl only visits the
 retained domains (equivalent to the paper's retrospective filtering, and
 kept deterministic by resetting the network's failure-schedule counters
-afterwards).
+afterwards).  A domain's first accessible week settles its verdict, so
+the probe stops fetching it there.
 
 A probe from a pristine network is a pure function of dataset identity
 and the threshold, so each process probes a dataset once: every later
@@ -124,50 +125,48 @@ class AccessibilityFilter:
         return retained, report
 
     def _probe(self) -> Tuple[Set[str], FilterReport]:
-        """Fetch every domain in each week of the last month."""
+        """Fetch each domain in the weeks of the last month, up to and
+        including its first accessible one.
+
+        A domain is removed only when every probed week is bad, so its
+        first good week settles its verdict and it is not fetched again.
+        Each fetch outcome is a pure hash of (host, clock, request
+        ordinal), and the ordinals are reset below, so a skipped fetch
+        changes no other domain's draw.  ``set_week`` still runs for
+        every week, so the probe leaves the ecosystem on the month's
+        last week whichever domains it fetched.
+        """
         calendar: StudyCalendar = self.ecosystem.calendar
         last_month = calendar.last_month()
         domains: Sequence[Domain] = self.ecosystem.population.domains
-        bad_streak = {d.name: 0 for d in domains}
+        # the domains bad in every week so far, in population order
+        pending: Sequence[Domain] = domains
         last_reason = {d.name: "" for d in domains}
 
         fetcher = Fetcher(self.ecosystem.network, retries=0)
         for week in last_month:
             self.ecosystem.set_week(week.ordinal)
-            for domain in domains:
-                result = fetcher.fetch_domain(domain.name)
-                bad, reason = self._is_bad(result)
+            still_bad = []
+            for domain in pending:
+                bad, reason = self._is_bad(fetcher.fetch_domain(domain.name))
                 if bad:
-                    bad_streak[domain.name] += 1
                     last_reason[domain.name] = reason
-                else:
-                    bad_streak[domain.name] = 0
+                    still_bad.append(domain)
+            pending = still_bad
 
         # Undo the probe's effect on the deterministic failure schedule
         # and rewind the clock for the main crawl.
         self.ecosystem.network.reset_ordinals()
         self.ecosystem.network.set_clock(0)
 
-        retained: Set[str] = set()
-        removed_error = removed_empty = removed_unreachable = 0
-        for domain in domains:
-            if bad_streak[domain.name] >= len(last_month):
-                reason = last_reason[domain.name]
-                if reason == "error":
-                    removed_error += 1
-                elif reason == "empty":
-                    removed_empty += 1
-                else:
-                    removed_unreachable += 1
-            else:
-                retained.add(domain.name)
-
+        retained = {d.name for d in domains} - {d.name for d in pending}
+        reasons = collections.Counter(last_reason[d.name] for d in pending)
         report = FilterReport(
             total_domains=len(domains),
             retained=len(retained),
             removed=len(domains) - len(retained),
-            removed_error=removed_error,
-            removed_empty=removed_empty,
-            removed_unreachable=removed_unreachable,
+            removed_error=reasons["error"],
+            removed_empty=reasons["empty"],
+            removed_unreachable=len(pending) - reasons["error"] - reasons["empty"],
         )
         return retained, report

@@ -37,6 +37,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
+from ..config import check_seed
 from ..errors import ConfigError
 from ..options import EXECUTION_BACKENDS
 from ..sweep.spec import SweepPoint
@@ -166,6 +167,7 @@ class FleetPlan:
     def __post_init__(self) -> None:
         if self.population < 1:
             raise ConfigError(f"population must be >= 1, got {self.population}")
+        check_seed(self.seed)
         if self.mode not in ("manifest", "full"):
             raise ConfigError(
                 f"unknown crawl mode {self.mode!r}; expected manifest or full"

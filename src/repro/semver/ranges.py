@@ -52,18 +52,24 @@ class VersionRange:
                 )
 
     def contains(self, value: VersionLike) -> bool:
-        version = parse_version(value)
-        if self.lower is not None:
-            if self.lower.inclusive:
-                if version < self.lower.version:
+        return self._contains_key(parse_version(value)._key)
+
+    def _contains_key(self, key: tuple) -> bool:
+        """Membership of a :class:`Version` comparison key: the order
+        ``Version.__lt__`` and ``__eq__`` define, read off the keys."""
+        lower = self.lower
+        if lower is not None:
+            if lower.inclusive:
+                if key < lower.version._key:
                     return False
-            elif version <= self.lower.version:
+            elif key <= lower.version._key:
                 return False
-        if self.upper is not None:
-            if self.upper.inclusive:
-                if version > self.upper.version:
+        upper = self.upper
+        if upper is not None:
+            if upper.inclusive:
+                if key > upper.version._key:
                     return False
-            elif version >= self.upper.version:
+            elif key >= upper.version._key:
                 return False
         return True
 
@@ -114,8 +120,11 @@ class RangeSet:
         return not self._ranges
 
     def contains(self, value: VersionLike) -> bool:
-        version = parse_version(value)
-        return any(r.contains(version) for r in self._ranges)
+        key = parse_version(value)._key
+        for version_range in self._ranges:
+            if version_range._contains_key(key):
+                return True
+        return False
 
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, (str, Version)):

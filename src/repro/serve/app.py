@@ -665,8 +665,11 @@ class ServeApp:
         if advisory is None:
             raise NotFound(f"no such advisory: {params['identifier']!r}")
         series = cve_accuracy.affected_series(self.store, advisory)
+        trajectories = updates.library_trajectories(self.store, advisory.library)
         delays = {
-            mode: updates.advisory_delay(self.store, advisory, mode)
+            mode: updates.advisory_delay(
+                self.store, advisory, mode, trajectories=trajectories
+            )
             for mode in (MatchMode.CVE, MatchMode.TVV)
         }
         return {

@@ -276,6 +276,45 @@ class TestUnwritableOutputPaths:
         assert sorted(tmp_path.iterdir()) == [regular]
 
 
+class TestBadSeed:
+    """A seed that is not an int >= 0 exits 2 before any work.
+
+    The generator seeds numpy with it, which raised an untyped
+    ``ValueError`` from inside the crawl (and, in a fleet, inside the
+    leased crawl job of a queue already on disk).
+    """
+
+    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--population", "30", "--weeks", "1"],
+            ["orchestrate", "run", "--queue-dir", "{queue}", "--population",
+             "20", "--ticks", "1", "--weeks-per-tick", "1"],
+            ["sweep", "run", "--queue-dir", "{queue}", "--population", "20",
+             "--weeks", "1"],
+        ],
+        ids=["run", "orchestrate", "sweep"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, argv):
+        queue = tmp_path / "q"
+        proc = _cli(*(arg.format(queue=queue) for arg in argv), "--seed", "-5")
+        self._assert_clean_failure(proc, "seed must be an integer >= 0, got -5")
+        assert proc.stdout == ""
+        assert not queue.exists()
+
+    @pytest.mark.parametrize("seed", [-5, 1.5, True, "3"])
+    def test_configs_refuse_the_seed(self, seed):
+        from repro.config import ScenarioConfig
+        from repro.orchestrator import FleetPlan
+
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ScenarioConfig(population=20, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            FleetPlan.build(20, seed, 1, 1)
+
+
 # ----------------------------------------------------------------------
 # Orchestrate: run/status contract
 # ----------------------------------------------------------------------

@@ -11,6 +11,11 @@ verdict is kept per process.  These tests count probe fetches:
 * a network that is not pristine — request ordinals consumed by a
   crawl over it, or a transport surge — is probed for real, and gets
   what the probe without the memo returns.
+
+Every real probe is checked against :func:`_oracle`, the all-weeks
+loop the probe replaced: the verdict and report must be the oracle's,
+and the probe must fetch each domain in the weeks up to and including
+its first good one (all four when there is none).
 """
 
 from __future__ import annotations
@@ -42,18 +47,86 @@ _FLAKY = ScenarioConfig(
 )
 
 
+def _oracle(probe: AccessibilityFilter):
+    """The all-weeks probe: every domain fetched in every week of the
+    last month, each outcome recorded.  Returns the verdict the old loop
+    computed from them and the fetches the probe should make; the
+    network's request ordinals are put back as they were found."""
+    ecosystem = probe.ecosystem
+    network = ecosystem.network
+    ordinals = dict(network._request_ordinals)
+    last_month = ecosystem.calendar.last_month()
+    domains = ecosystem.population.domains
+    bad_streak = {d.name: 0 for d in domains}
+    last_reason = {d.name: "" for d in domains}
+    outcomes = {d.name: [] for d in domains}
+    fetcher = Fetcher(network, retries=0)
+    for week in last_month:
+        ecosystem.set_week(week.ordinal)
+        for domain in domains:
+            # fetch(), not fetch_domain(): the fixture counts the probe's.
+            bad, reason = probe._is_bad(fetcher.fetch(f"https://{domain.name}/"))
+            outcomes[domain.name].append(bad)
+            if bad:
+                bad_streak[domain.name] += 1
+                last_reason[domain.name] = reason
+            else:
+                bad_streak[domain.name] = 0
+    network._request_ordinals.clear()
+    network._request_ordinals.update(ordinals)
+
+    retained = set()
+    removed = collections.Counter()
+    for domain in domains:
+        if bad_streak[domain.name] >= len(last_month):
+            reason = last_reason[domain.name]
+            removed[reason if reason in ("error", "empty") else "unreachable"] += 1
+        else:
+            retained.add(domain.name)
+    report = filtering.FilterReport(
+        total_domains=len(domains),
+        retained=len(retained),
+        removed=len(domains) - len(retained),
+        removed_error=removed["error"],
+        removed_empty=removed["empty"],
+        removed_unreachable=removed["unreachable"],
+    )
+    expected_fetches = sum(
+        weeks.index(False) + 1 if False in weeks else len(weeks)
+        for weeks in outcomes.values()
+    )
+    return (retained, report), expected_fetches
+
+
+def _pristine_fetches(config: ScenarioConfig, threshold: int = 400) -> int:
+    """The fetches a probe of ``config`` from a pristine network makes."""
+    return _oracle(AccessibilityFilter(WebEcosystem(config), threshold))[1]
+
+
 @pytest.fixture()
 def fetches(monkeypatch):
-    """An empty verdict memo, and a count of ``fetch_domain`` calls."""
+    """An empty verdict memo, a count of ``fetch_domain`` calls, and of
+    real probes, each checked against the oracle as it runs."""
     monkeypatch.setattr(filtering, "_VERDICT_CACHE", collections.OrderedDict())
     calls = collections.Counter()
     original = Fetcher.fetch_domain
+    original_probe = AccessibilityFilter._probe
 
     def counting(self, name):
         calls["fetch_domain"] += 1
         return original(self, name)
 
+    def checked_probe(self):
+        expected, expected_fetches = _oracle(self)
+        before = calls["fetch_domain"]
+        result = original_probe(self)
+        assert result == expected
+        assert calls["fetch_domain"] - before == expected_fetches
+        calls["probes"] += 1
+        return result
+
     monkeypatch.setattr(Fetcher, "fetch_domain", counting)
+    monkeypatch.setattr(AccessibilityFilter, "_probe", checked_probe)
     return calls
 
 
@@ -90,7 +163,8 @@ def test_fleet_ticks_probe_once(fetches, tmp_path):
         result, count = _probe_fetches(fetches, study)
         results.append(result)
         counts.append(count)
-    assert counts == [4 * _BASE.population, 0, 0]
+    assert counts == [_pristine_fetches(_BASE), 0, 0]
+    assert counts[0] < 4 * _BASE.population
     assert results[1] == results[0] and results[2] == results[0]
 
 
@@ -131,12 +205,12 @@ def test_reuse_returns_fresh_objects_and_leaves_the_probe_state(fetches):
 )
 def test_another_dataset_or_threshold_probes_again(fetches, variant):
     _, count = _probe_fetches(fetches, AccessibilityFilter(WebEcosystem(_BASE)))
-    assert count == 4 * _BASE.population
+    assert count == _pristine_fetches(_BASE)
     threshold = variant.accessibility.empty_page_threshold
     result, count = _probe_fetches(
         fetches, AccessibilityFilter(WebEcosystem(variant), threshold)
     )
-    assert count == 4 * variant.population
+    assert count == _pristine_fetches(variant, threshold)
     # ... and that verdict is then kept too.
     again, count = _probe_fetches(
         fetches, AccessibilityFilter(WebEcosystem(variant), threshold)
@@ -147,11 +221,11 @@ def test_another_dataset_or_threshold_probes_again(fetches, variant):
 def test_explicit_threshold_is_part_of_the_key(fetches):
     ecosystem = WebEcosystem(_BASE)
     _, count = _probe_fetches(fetches, AccessibilityFilter(ecosystem, 400))
-    assert count == 4 * _BASE.population
+    assert count == _pristine_fetches(_BASE, 400)
     (_, strict), count = _probe_fetches(
         fetches, AccessibilityFilter(WebEcosystem(_BASE), 5000)
     )
-    assert count == 4 * _BASE.population
+    assert count == _pristine_fetches(_BASE, 5000)
     assert strict.removed_empty > 0
 
 
@@ -180,7 +254,8 @@ def test_network_that_is_not_pristine_is_probed(fetches, monkeypatch):
     assert not filtering._VERDICT_CACHE
     fetches.clear()
     memoised = _second_run_reports(monkeypatch, memo_max=8)
-    assert fetches["fetch_domain"] >= 2 * 4 * _FLAKY.population
+    # Both probes ran for real, each fetching what the oracle says.
+    assert fetches["probes"] == 2
     assert memoised == reference
     first, second, _ = memoised
     assert second != first  # the bypass matters on this dataset
@@ -219,4 +294,4 @@ def test_memo_keeps_the_eight_latest_verdicts(fetches):
             fetches, AccessibilityFilter(WebEcosystem(config))
         )
         # Only the evicted oldest verdict is probed again.
-        assert count == (20 if config is configs[0] else 0)
+        assert count == (_pristine_fetches(config) if config is configs[0] else 0)

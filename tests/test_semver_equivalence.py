@@ -9,6 +9,11 @@
   precomputed table; it must name the same two releases the web
   generator once sorted out of :meth:`released_on_or_before` at every
   refresh, and :meth:`latest_as_of` the release the old ``max`` chose.
+* **Range membership.** :meth:`RangeSet.contains` compares comparison
+  keys directly; it must agree with membership built from the
+  reference ``lt`` and ``eq`` on every stated and true range of the
+  built-in database, over the library's catalog, the classifier's two
+  sentinels, every bound and its spellings, and seeded versions.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import itertools
 
 import proptest
 import reference_semver
-from repro.semver import ReleaseCatalog, Version, builtin_catalogs
+from repro.semver import ReleaseCatalog, Version, builtin_catalogs, parse_range
 from repro.timeline import default_calendar
+from repro.vulndb import default_database
+from repro.vulndb.model import _probe_versions
 
 _TAGS = (None, None, None, "rc1", "beta", "a")
 
@@ -145,3 +152,87 @@ class TestCatalogLookups:
                 _assert_lookups_match(catalog, _probe_dates(catalog))
 
         proptest.forall(prop)
+
+
+def _reference_contains(range_set, version) -> bool:
+    """Union membership from the reference comparisons alone."""
+    for version_range in range_set.ranges:
+        lower, upper = version_range.lower, version_range.upper
+        if lower is not None:
+            if reference_semver.lt(version, lower.version):
+                continue
+            if not lower.inclusive and reference_semver.eq(version, lower.version):
+                continue
+        if upper is not None:
+            if reference_semver.lt(upper.version, version):
+                continue
+            if not upper.inclusive and reference_semver.eq(version, upper.version):
+                continue
+        return True
+    return False
+
+
+def _bound_spellings(range_set):
+    """Each bound, padded with a zero, trimmed of one, and as a pre-release."""
+    for version_range in range_set.ranges:
+        for bound in (version_range.lower, version_range.upper):
+            if bound is None:
+                continue
+            release = ".".join(str(part) for part in bound.version.release)
+            yield bound.version
+            yield Version(release + ".0")
+            yield Version(release + "-rc1")
+            if len(bound.version.release) > 1 and bound.version.release[-1] == 0:
+                yield Version(release.rsplit(".", 1)[0])
+
+
+def _assert_membership(range_set, versions) -> None:
+    for version in versions:
+        want = _reference_contains(range_set, version)
+        assert range_set.contains(version) is want, (range_set, version)
+        assert range_set.contains(version.text) is want, (range_set, version)
+
+
+class TestRangeMembership:
+    def test_database_ranges(self):
+        catalogs = builtin_catalogs()
+        ranges = []
+        for advisory in default_database():
+            catalog = catalogs.get(advisory.library)
+            probes = list(_probe_versions(catalog)) if catalog is not None else []
+            for range_set in (advisory.stated_range, advisory.true_range):
+                if range_set is not None:
+                    ranges.append(range_set)
+                    _assert_membership(
+                        range_set, probes + list(_bound_spellings(range_set))
+                    )
+
+        def prop(rng, seed):
+            versions = [Version(_version_text(rng)) for _ in range(60)]
+            for range_set in ranges:
+                _assert_membership(range_set, versions)
+
+        proptest.forall(prop)
+
+    def test_bounds_inclusive_and_exclusive(self):
+        versions = [
+            Version(text)
+            for text in ("1.2", "1.2.0", "1.2.0.0", "v1.2", "1.2-rc1", "1.2.0rc1",
+                         "1.1.9", "1.2.0.1", "1.3", "1.3.0", "1.3-beta", "0")
+        ]
+        specs = ("< 1.2", "<= 1.2.0", "> 1.2.0", ">= 1.2", "== 1.2.0", "1.2",
+                 "1.2.0 ~ 1.3", ">= 1.2 and < 1.3.0", "> 1.2-rc1 and <= 1.3",
+                 "< 1.2, >= 1.3", "all versions", "none")
+        for spec in specs:
+            range_set = parse_range(spec)
+            _assert_membership(range_set, versions)
+            for version_range in range_set.ranges:
+                for version in versions:
+                    single = type(range_set)([version_range])
+                    assert version_range.contains(version) is _reference_contains(
+                        single, version
+                    ), (spec, version)
+        assert parse_range("<= 1.2").contains("1.2.0")
+        assert not parse_range("< 1.2").contains("1.2.0")
+        assert parse_range(">= 1.2.0").contains("1.2")
+        assert not parse_range("> 1.2.0").contains("1.2")
