@@ -159,9 +159,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         report = study.run(weeks=weeks)
-    except (CheckpointError, ConfigError) as exc:
-        # ConfigError here means a run-time configuration input went
-        # bad — e.g. an unreadable/mismatched --plan-from document.
+    except CheckpointError as exc:
+        # The only run-time input the CLI cannot validate up front is
+        # the checkpoint directory: it may hold a run without --resume,
+        # another run's manifest, or a corrupt one.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
@@ -199,17 +200,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     )
     print(f"phases: {phases}", file=sys.stderr)
-    if getattr(args, "plan_from", None):
-        planner = metrics.snapshot().get("planner")
-        if planner:
-            print(
-                f"adaptive plan [{args.plan_from}]: "
-                f"{len(planner['shards'])} shards, "
-                f"imbalance {planner['imbalance_permille'] / 10:.1f}% "
-                f"(max {planner['max_cost_units']:,} of "
-                f"{planner['total_cost_units']:,} cost units)",
-                file=sys.stderr,
-            )
     if args.checkpoint_dir:
         print(
             f"ledger [{args.checkpoint_dir}]: "

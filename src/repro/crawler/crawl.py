@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigError, CrawlError
+from ..errors import CrawlError
 from ..obs import (
     LIBRARIES_PER_PAGE_EDGES,
     SCRIPTS_PER_PAGE_EDGES,
@@ -36,7 +36,7 @@ from ..options import RunOptions
 from ..runtime.backends import describe_backend, get_backend
 from ..runtime.dispatch import backoff_delay, dispatch_shards
 from ..runtime.ledger import JournalingRunner, RunLedger, RunManifest
-from ..runtime.sharding import CostModel, plan_shards
+from ..runtime.sharding import plan_shards
 from ..runtime.worker import ShardTask, shard_coverage_key
 from ..timeline import Week
 from ..vulndb import VersionMatcher, default_database
@@ -295,46 +295,6 @@ class Crawler:
         self.mode = mode
         self.apply_filter = apply_filter
         self.options = options if options is not None else RunOptions()
-        #: (plan_source, plan_from_digest) of the most recent plan —
-        #: manifest provenance; refreshed by every :meth:`run`.
-        self._plan_provenance = ("uniform", "none")
-
-    # ------------------------------------------------------------------
-    def _load_cost_model(self, path: str, n_domains: int):
-        """Read a ``plan_from`` metrics document into a cost model.
-
-        Also records the plan provenance (source kind + document
-        digest) that :meth:`_run_sharded` stamps into the run manifest.
-
-        Raises:
-            ConfigError: The file is unreadable, not a canonical
-                metrics document, or measured over a different grid.
-        """
-        import hashlib
-
-        from ..durable import parse_json
-
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot read plan-from metrics {path!r}: {exc}"
-            ) from exc
-        try:
-            document = parse_json(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"plan-from metrics {path!r} is not a JSON document: {exc}"
-            ) from exc
-        model = CostModel.from_metrics_document(
-            document, n_domains, source=str(path)
-        )
-        self._plan_provenance = (
-            "weighted",
-            hashlib.sha256(raw).hexdigest(),
-        )
-        return model
 
     # ------------------------------------------------------------------
     def run(self, weeks: Optional[Sequence[Week]] = None) -> CrawlReport:
@@ -397,18 +357,11 @@ class Crawler:
             ]
 
             execution = self.options.execution
-            cost_model = None
-            self._plan_provenance = ("uniform", "none")
-            if execution.plan_from:
-                cost_model = self._load_cost_model(
-                    execution.plan_from, len(domains)
-                )
             shards = plan_shards(
                 len(target_weeks),
                 len(domains),
                 workers=execution.workers,
                 shard_size=execution.shard_size,
-                cost_model=cost_model,
             )
         shard_errors = self._run_sharded(
             shards,
@@ -590,7 +543,6 @@ class Crawler:
         ledger = scan = None
         if durability.checkpoint_dir is not None:
             ledger = RunLedger(durability.checkpoint_dir)
-            plan_source, plan_from_digest = self._plan_provenance
             manifest = RunManifest.build(
                 config=config,
                 mode=self.mode,
@@ -602,20 +554,16 @@ class Crawler:
                 # checkpoint's identity includes the blob format: an
                 # old-format checkpoint must be refused, not replayed.
                 store_format=BINARY_FORMAT_VERSION,
-                plan_source=plan_source,
-                plan_from_digest=plan_from_digest,
             )
             scan = ledger.open(manifest, resume=durability.resume)
             if scan.resumed:
                 # The stored plan is authoritative: journal entries are
                 # per-shard of *that* plan, and fault draws are pure in
-                # its coverage keys — so a resume may change backend or
-                # workers (or drop/alter --plan-from: the provenance
-                # fields are descriptive, not identity), but never the
-                # shard shapes.
+                # its coverage keys — so a resume may change backend,
+                # workers or shard size, but never the shard shapes.
                 shards = scan.manifest.shards()
 
-        # The plan is final here — uniform, weighted, or adopted from a
+        # The plan is final here — freshly cut, or adopted from a
         # resumed manifest — so this is where the canonical planner
         # section learns its geometry.
         instruments.set_plan(

@@ -26,9 +26,10 @@ primitive — a same-directory temp file, fsync'd and atomically renamed
 into place, then a directory fsync — so a reader can never observe a
 torn write and the new name survives a crash.
 Corruption — truncated sections, flipped bytes, foreign or unsupported
-formats — surfaces as a typed :class:`~repro.errors.StoreError`
-carrying the path and (when identifiable) the failing section, never as
-a raw ``struct.error``, ``zlib.error``, or ``KeyError``.
+formats, symbol ids past the end of their table — surfaces as a typed
+:class:`~repro.errors.StoreError` carrying the path and (when
+identifiable) the failing section, never as a raw ``struct.error``,
+``zlib.error``, ``KeyError`` or ``IndexError``.
 """
 
 from __future__ import annotations
@@ -202,10 +203,31 @@ def _encode_id_column(writer: _Writer, counter, canon: List[int]) -> None:
     writer.pairs(sorted((canon[i], count) for i, count in counter.items_ids()))
 
 
-def _decode_id_column(reader: _Reader, counter) -> None:
-    inc_id = counter.inc_id
-    for key_id, count in reader.pairs():
-        inc_id(key_id, count)
+def _check_id(reader: _Reader, sym_id: int, domain) -> None:
+    """Refuse a symbol id past the end of ``domain``'s decoded table."""
+    if sym_id >= len(domain):
+        raise _Corrupt(
+            f"section {reader.section} refers to {domain.name} id {sym_id}, "
+            f"past the end of its {len(domain)}-symbol table"
+        )
+
+
+def _decode_column(reader: _Reader, add, domain=None) -> None:
+    """Add a column written by :meth:`_Writer.pairs` through ``add``.
+
+    The column grows once, to its largest key, before any count is
+    added.  A symbol-id column names its ``domain``, and a key past the
+    end of that domain's table is refused before anything grows.
+    """
+    entries = list(reader.pairs())
+    if not entries:
+        return
+    top = max(entries)[0]  # pairs compare by key first
+    if domain is not None:
+        _check_id(reader, top, domain)
+    add(top, 0)  # the one grow
+    for key, count in entries:
+        add(key, count)
 
 
 def _encode_delta_ranks(writer: _Writer, ranks: List[int]) -> None:
@@ -247,7 +269,7 @@ def _encode_changes(
         previous = week
 
 
-def _decode_changes(reader: _Reader) -> array:
+def _decode_changes(reader: _Reader, versions) -> array:
     count = reader.u32()
     arr = array("q")
     week = 0
@@ -255,6 +277,8 @@ def _decode_changes(reader: _Reader) -> array:
         week += reader.u32()
         arr.append(week)
         arr.append(reader.u32())
+    if count:
+        _check_id(reader, max(arr[1::2]), versions)
     return arr
 
 
@@ -304,6 +328,8 @@ def _decode_symbols_section(data: bytes, store: ObservationStore) -> None:
         for _ in range(reader.u32()):
             a_id = reader.u32()
             b_id = reader.u32()
+            _check_id(reader, a_id, domain.a)
+            _check_id(reader, b_id, domain.b)
             domain.intern_ids(a_id, b_id)
     reader.expect_end()
 
@@ -348,6 +374,10 @@ def _decode_weeks_section(data: bytes, store: ObservationStore) -> None:
             f"store has {count} weeks but the calendar has {len(store.weeks)}"
         )
     scalars = len(_SCALAR_FIELDS)
+    symbols = store.symbols
+    column_domains = [
+        (name, getattr(symbols, domain)) for name, domain in _WEEK_COLUMN_DOMAINS
+    ]
     for _ in range(count):
         head = reader.unpack(_WEEK_HEAD)
         agg = store.weeks.get(head[0])
@@ -361,14 +391,14 @@ def _decode_weeks_section(data: bytes, store: ObservationStore) -> None:
             vulnerable[mode] = value
         if reader.skip(_EMPTY_WEEK_TAIL):
             continue
-        for name in _COLUMN_FIELDS:
-            _decode_id_column(reader, getattr(agg, name))
+        for name, domain in column_domains:
+            _decode_column(reader, getattr(agg, name).inc_id, domain)
         for mode in _MODES:
-            inc = agg.vuln_count_hist[mode].inc
-            for key, value in reader.pairs():
-                inc(key, value)
+            _decode_column(reader, agg.vuln_count_hist[mode].inc)
         for mode in _MODES:
-            _decode_id_column(reader, agg.advisory_sites[mode])
+            _decode_column(
+                reader, agg.advisory_sites[mode].inc_id, symbols.advisory
+            )
     reader.expect_end()
 
 
@@ -427,20 +457,22 @@ def _decode_sites_section(data: bytes, store: ObservationStore) -> None:
     store.total_observations = reader.u64()
     store.observed_domains = set(_decode_delta_ranks(reader))
 
+    symbols = store.symbols
     sites: Dict[int, Dict[int, array]] = {}
     for _ in range(reader.u32()):
         rank = reader.u64()
         site: Dict[int, array] = {}
         for _ in range(reader.u32()):
             lib_id = reader.u32()
-            site[lib_id] = _decode_changes(reader)
+            _check_id(reader, lib_id, symbols.library)
+            site[lib_id] = _decode_changes(reader, symbols.version)
         sites[rank] = site
     store.trajectories.adopt_packed(sites)
 
     wp_sites: Dict[int, array] = {}
     for _ in range(reader.u32()):
         rank = reader.u64()
-        wp_sites[rank] = _decode_changes(reader)
+        wp_sites[rank] = _decode_changes(reader, symbols.version)
     store.wp_trajectories.adopt_packed(wp_sites)
 
     for _ in range(reader.u32()):
@@ -451,9 +483,10 @@ def _decode_sites_section(data: bytes, store: ObservationStore) -> None:
 
     for _ in range(reader.u32()):
         host_id = reader.u32()
+        _check_id(reader, host_id, symbols.untrusted_host)
         store.untrusted_site_sets.load_ids(host_id, _decode_delta_ranks(reader))
 
-    _decode_id_column(reader, store.untrusted_url_counts)
+    _decode_column(reader, store.untrusted_url_counts.inc_id, symbols.url)
     reader.expect_end()
 
 

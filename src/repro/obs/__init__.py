@@ -17,12 +17,10 @@ from .instruments import (
     LIBRARIES_PER_PAGE_EDGES,
     METRICS_FORMAT,
     PAGES_PER_SHARD_EDGES,
-    PLANNER_ROW_KEYS,
     SCRIPTS_PER_PAGE_EDGES,
     Histogram,
     Instruments,
     SpanEvent,
-    planner_profile,
     shard_cost_units,
 )
 from .schema import (
@@ -44,14 +42,12 @@ __all__ = [
     "LIBRARIES_PER_PAGE_EDGES",
     "METRICS_FORMAT",
     "PAGES_PER_SHARD_EDGES",
-    "PLANNER_ROW_KEYS",
     "SCRIPTS_PER_PAGE_EDGES",
     "Histogram",
     "Instruments",
     "SpanEvent",
     "load_schema",
     "load_serve_schema",
-    "planner_profile",
     "shard_cost_units",
     "validate_metrics",
     "validate_serve_metrics",

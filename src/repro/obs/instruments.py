@@ -45,10 +45,10 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigError
 
-#: Version of the canonical metrics document layout.  Format 2 (PR-7)
-#: adds the ``planner`` section — the per-shard cost profile the
-#: adaptive planner feeds on (``--plan-from``) — and the ``cells`` /
-#: ``scripts`` facts on shard span events that the profile is derived
+#: Version of the canonical metrics document layout.  Format 2 adds
+#: the ``planner`` section — the plan that ran, with each shard's
+#: estimated cost and the plan's imbalance — and the ``cells`` /
+#: ``scripts`` facts on shard span events that the costs are derived
 #: from.
 METRICS_FORMAT = 2
 
@@ -292,7 +292,7 @@ class Instruments:
 
     Every run records all of it at one level: the crawl report reads
     the counters, the canonical dispatch accounting is derived from
-    the span events, and ``--plan-from`` needs the ``planner`` section.
+    the span events, and the ``planner`` section records the plan.
     ``tests/test_obs.py`` pins the work it adds to a crawl as counted
     calls.
 
@@ -512,7 +512,7 @@ class Instruments:
         return document
 
     def _planner_section(self) -> dict:
-        """The per-shard cost profile the adaptive planner feeds on.
+        """The plan that ran: each shard's geometry, facts and cost.
 
         One row per plan shard, joining the plan geometry with the
         shard's final span event (``"ok"`` or ``"dropped"`` — exactly
@@ -618,81 +618,3 @@ class Instruments:
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
-
-
-# ----------------------------------------------------------------------
-# Stable extraction API over canonical metrics documents
-# ----------------------------------------------------------------------
-#: Keys every planner shard row carries (the extraction contract).
-PLANNER_ROW_KEYS = (
-    "index",
-    "week_start",
-    "week_count",
-    "domain_start",
-    "domain_count",
-    "cells",
-    "pages",
-    "failures",
-    "cache_misses",
-    "scripts",
-    "attempts",
-    "cost_units",
-)
-
-
-def planner_profile(document: Mapping) -> dict:
-    """Extract the per-shard cost profile from a canonical metrics document.
-
-    The one supported way to read shard costs back out of a
-    ``--metrics-out`` file — the adaptive planner (``--plan-from``) and
-    the benchmarks both go through here, so the document layout can
-    evolve behind this function.
-
-    Returns the validated ``planner`` section: ``grid`` (the
-    ``weeks``/``domains`` the profile was measured over), ``shards``
-    (one cost row per plan shard, keys :data:`PLANNER_ROW_KEYS`), and
-    the cost-model summary fields.  The grid sizes and every row value
-    are ints ``>= 0``; the document is untrusted input, so anything
-    else is refused here rather than coerced by the cost model.
-
-    Raises:
-        ConfigError: ``document`` is not a format-``METRICS_FORMAT``
-            metrics document or lacks a usable planner section.
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigError(
-            f"expected a metrics document (mapping), got "
-            f"{type(document).__name__}"
-        )
-    fmt = document.get("format")
-    if fmt != METRICS_FORMAT:
-        raise ConfigError(
-            f"metrics document format {fmt!r} is not supported for "
-            f"planning; re-export it with this version "
-            f"(format {METRICS_FORMAT})"
-        )
-    planner = document.get("planner")
-    if not isinstance(planner, Mapping):
-        raise ConfigError(
-            "metrics document has no planner section; it was produced "
-            "by an older version, before every run recorded one"
-        )
-    grid = planner.get("grid")
-    shards = planner.get("shards")
-    if (
-        not isinstance(grid, Mapping)
-        or not isinstance(shards, list)
-        or not all(_is_count(grid.get(key)) for key in ("weeks", "domains"))
-    ):
-        raise ConfigError("metrics planner section is malformed")
-    for row in shards:
-        if not isinstance(row, Mapping) or not all(
-            _is_count(row.get(key)) for key in PLANNER_ROW_KEYS
-        ):
-            raise ConfigError("metrics planner section is malformed")
-    return dict(planner)
-
-
-def _is_count(value: object) -> bool:
-    """Whether ``value`` is a planner count: an int >= 0, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

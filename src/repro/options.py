@@ -6,7 +6,7 @@ run knob lives anywhere else.  Four small frozen dataclasses group the
 knobs by concern:
 
 * :class:`ExecutionOptions` — sharding/parallelism (workers, backend,
-  shard size, adaptive plan, profile cache);
+  shard size, profile cache);
 * :class:`ResilienceOptions` — fault plan, retry budget, failure policy;
 * :class:`DurabilityOptions` — checkpoint directory, resume;
 * :class:`ObservabilityOptions` — the metrics document, ``--metrics-out``.
@@ -124,15 +124,6 @@ class ExecutionOptions:
         help="disable the incremental profile cache (results are "
         "identical; only slower)",
     )
-    plan_from: Optional[str] = opt(
-        None,
-        "--plan-from",
-        metavar="METRICS",
-        help="balance shards by cost, not cell count: read per-shard "
-        "cost facts from a previous run's canonical metrics document "
-        "(--metrics-out FILE) and place the domain cut points so every "
-        "shard carries near-equal estimated work",
-    )
     #: Predecessor profile-store generation directories to consult on
     #: in-run cache misses, most recent first.
     profile_store_read: Tuple[str, ...] = ()
@@ -150,8 +141,6 @@ class ExecutionOptions:
             )
         if self.shard_size < 0:
             raise ConfigError("shard_size must be >= 0 (0 = auto)")
-        if self.plan_from is not None:
-            object.__setattr__(self, "plan_from", str(self.plan_from))
 
     @property
     def resolved_backend(self) -> str:

@@ -9,7 +9,8 @@ durable records plus the fault plan's seeded draws, so a fleet killed at
 any point and re-run converges on the same terminal records, the same
 artifacts, and the same canonical metrics as an uninterrupted fleet.
 
-Retry policy: a failed attempt backs off on the fleet clock
+Retry policy: an attempt fails on any exception it raises, typed or
+not.  A failed attempt backs off on the fleet clock
 (:func:`~repro.runtime.dispatch.backoff_delay` — the same schedule shard
 dispatch uses) and requeues, until ``plan.max_job_retries`` retries are
 exhausted; the job then moves to the dead-letter queue and its hard
@@ -36,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..durable import atomic_write_bytes
-from ..errors import InjectedJobCrash, QueueError, ReproError
+from ..errors import InjectedJobCrash, QueueError
 from ..obs import Instruments
 from ..runtime.dispatch import SimulatedClock, backoff_delay
 from ..runtime.faults import JOB_CRASH, FaultPlan
@@ -216,7 +217,10 @@ class Orchestrator:
             )
             queue.mark_done(record, clock.now)
             self.instruments.inc("orchestrator.jobs_done")
-        except ReproError as exc:
+        except Exception as exc:
+            # Typed or not, an exception from the attempt fails the job,
+            # so no record is left running; KeyboardInterrupt and other
+            # BaseExceptions still end the run.
             error = f"{type(exc).__name__}: {exc}"
             queue.mark_failed(record, error, clock.now)
             self.instruments.inc("orchestrator.job_failures")

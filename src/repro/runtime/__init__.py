@@ -4,10 +4,9 @@ The crawl pipeline scales by partitioning the ``weeks × domains`` space
 into balanced, non-overlapping shards (:mod:`.sharding`), executing each
 shard as a self-contained task (:mod:`.worker`) on a serial or process
 backend (:mod:`.backends`), and merging the partial observation stores
-exactly (:meth:`~repro.crawler.ObservationStore.merge`).  Shard plans are
-uniform by default; :class:`CostModel` turns a previous run's canonical
-metrics into a weighted plan (``--plan-from``) that balances estimated
-cost instead of cell count.
+exactly (:meth:`~repro.crawler.ObservationStore.merge`).  Shard plans
+cut cells uniformly; :mod:`.sharding` says why there is no cost-weighted
+planner.
 
 Robustness lives in two layers added on top:
 
@@ -45,7 +44,7 @@ __getattr__, __dir__ = lazy_exports(
         "SimulatedClock backoff_delay dispatch_shards",
         ".faults": "FaultPlan",
         ".ledger": "JournalingRunner LedgerScan RunLedger RunManifest",
-        ".sharding": "CostModel Shard plan_shards",
+        ".sharding": "Shard plan_shards",
         ".worker": "ShardTask execute_shard execute_shard_safely "
         "shard_coverage_key",
     },
@@ -58,7 +57,6 @@ __all__ = [
     "describe_backend",
     "get_backend",
     "Shard",
-    "CostModel",
     "plan_shards",
     "ShardTask",
     "execute_shard",

@@ -141,20 +141,10 @@ class RunManifest:
     store_format: int
     shard_plan: Tuple[PlanRow, ...]
     format: int = LEDGER_FORMAT
-    #: How the shard plan was produced: ``"uniform"`` (cell-balanced)
-    #: or ``"weighted"`` (cost-balanced via ``plan_from``).  Provenance,
-    #: not identity: a resume adopts the stored plan regardless of what
-    #: the live process would have planned.
-    plan_source: str = "uniform"
-    #: sha256 of the ``plan_from`` metrics document the plan was built
-    #: from (``"none"`` for uniform plans) — the audit trail from a
-    #: weighted plan back to the exact measurements that shaped it.
-    plan_from_digest: str = "none"
 
     #: Fields compared on resume; the shard plan is adopted from the
-    #: manifest rather than compared (and its provenance fields with
-    #: it), so execution-shape changes between the original and resumed
-    #: process stay legal.
+    #: manifest rather than compared, so execution-shape changes
+    #: between the original and resumed process stay legal.
     _IDENTITY_FIELDS = (
         "format",
         "scenario_digest",
@@ -177,8 +167,6 @@ class RunManifest:
         domain_names: Sequence[str],
         shards: Sequence[Shard],
         store_format: int,
-        plan_source: str = "uniform",
-        plan_from_digest: str = "none",
     ) -> "RunManifest":
         """Derive the manifest for a planned run."""
         ordinals = tuple(week_ordinals)
@@ -211,8 +199,6 @@ class RunManifest:
             domain_count=len(names),
             store_format=store_format,
             shard_plan=tuple(plan),
-            plan_source=plan_source,
-            plan_from_digest=plan_from_digest,
         )
 
     # ------------------------------------------------------------------
@@ -235,8 +221,6 @@ class RunManifest:
                 (row[0], row[1], row[2], row[3], row[4], row[5])
                 for row in payload["shard_plan"]
             ),
-            plan_source=payload.get("plan_source", "uniform"),
-            plan_from_digest=payload.get("plan_from_digest", "none"),
         )
 
     def mismatches(self, live: "RunManifest") -> List[Tuple[str, object, object]]:

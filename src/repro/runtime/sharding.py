@@ -19,27 +19,21 @@ The domain axis is split first — domains are independent, so domain
 shards parallelise perfectly; the week axis is split only when there are
 fewer domains than requested shards.
 
-Adaptive (weighted) planning: per-site cost is wildly uneven — a
-WordPress site with a dozen libraries costs many times a dead domain's
-reachability check — so equal *cell* counts do not give equal *work*.
-:class:`CostModel` turns a previous run's canonical metrics document
-(its ``planner`` section, see :func:`repro.obs.planner_profile`) into a
-per-domain-column cost density; :func:`plan_shards` with a model places
-the domain cut points so every shard carries near-equal estimated cost
-(same shard *count* as the uniform plan), then orders the plan longest-
-first (LPT) so a pool never starts its costliest shard last.  The
-weighted plan is still an exact partition of the same grid and is
-recorded in the run manifest exactly like a uniform one — determinism
-per plan is untouched, and kill/resume adopts it unchanged.
+Plans are uniform: they balance cell counts, not estimated cost.
+Shards are contiguous rank blocks of hundreds of domains, so each
+block's mix of cheap and costly sites is close to the average, and a
+process pool already hands the next shard to whichever worker is free
+first.  A weighted, cost-balanced plan was measured against this one
+and never crawled faster than the uniform runs' own spread (ROADMAP,
+"Measured and set aside").
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List
 
-from ..errors import ConfigError, CrawlError
+from ..errors import CrawlError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,154 +70,11 @@ def _cuts(total: int, parts: int) -> List[range]:
     ]
 
 
-@dataclasses.dataclass(frozen=True)
-class CostModel:
-    """Per-domain cost density learned from a previous run's metrics.
-
-    ``domain_cost[d]`` is the estimated cost (integer, scaled by
-    :data:`SCALE`) of crawling domain-column ``d`` for one week.  The
-    model is built by spreading each recorded shard's ``cost_units``
-    uniformly over its rectangle — resolution is the recorded plan's
-    shard width, which is exactly the granularity the next plan's cut
-    points need.
-
-    Everything is integer arithmetic over the canonical document's
-    integer facts, so the same document always yields the same model
-    and the same weighted plan, on any platform.
-    """
-
-    #: One scaled per-week cost per domain column.
-    domain_cost: Tuple[int, ...]
-    #: Where the model came from (diagnostics only).
-    source: str = "uniform"
-
-    #: Fixed-point scale for per-cell densities.
-    SCALE = 1024
-
-    @classmethod
-    def uniform(cls, n_domains: int) -> "CostModel":
-        """The model that reproduces uniform (cell-count) planning."""
-        return cls(domain_cost=(cls.SCALE,) * n_domains, source="uniform")
-
-    @classmethod
-    def from_profile(
-        cls, profile: Mapping, n_domains: int, source: str = "metrics"
-    ) -> "CostModel":
-        """Build a model from a validated planner profile section.
-
-        Args:
-            profile: The ``planner`` section of a canonical metrics
-                document (see :func:`repro.obs.planner_profile`).
-            n_domains: Domain count of the run being planned; must match
-                the profile's grid — costs are per domain *column*, so a
-                profile from a different population cannot transfer.
-            source: Provenance label for diagnostics.
-
-        Raises:
-            ConfigError: The profile's domain grid does not match.
-        """
-        grid = profile.get("grid", {})
-        recorded = int(grid.get("domains", -1))
-        if recorded != n_domains:
-            raise ConfigError(
-                f"cannot plan from metrics recorded over {recorded} "
-                f"domains: this run retains {n_domains} — the cost "
-                f"profile is per domain column and does not transfer "
-                f"across populations"
-            )
-        scaled = [0] * n_domains
-        weeks_covered = [0] * n_domains
-        for row in profile.get("shards", []):
-            cells = int(row["cells"])
-            if cells <= 0:
-                continue
-            density = int(row["cost_units"]) * cls.SCALE // cells
-            start = int(row["domain_start"])
-            stop = min(start + int(row["domain_count"]), n_domains)
-            week_count = int(row["week_count"])
-            for domain in range(start, stop):
-                scaled[domain] += density * week_count
-                weeks_covered[domain] += week_count
-        covered = [d for d in range(n_domains) if weeks_covered[d]]
-        if covered:
-            default = sum(
-                scaled[d] // weeks_covered[d] for d in covered
-            ) // len(covered)
-        else:
-            default = cls.SCALE
-        return cls(
-            domain_cost=tuple(
-                scaled[d] // weeks_covered[d] if weeks_covered[d] else default
-                for d in range(n_domains)
-            ),
-            source=source,
-        )
-
-    @classmethod
-    def from_metrics_document(
-        cls, document: Mapping, n_domains: int, source: str = "metrics"
-    ) -> "CostModel":
-        """Build a model straight from a canonical metrics document."""
-        from ..obs import planner_profile
-
-        return cls.from_profile(
-            planner_profile(document), n_domains, source=source
-        )
-
-
-def _weighted_cuts(
-    costs: Sequence[int], parts: int, max_len: int = 0
-) -> List[range]:
-    """Split ``range(len(costs))`` into ``parts`` contiguous runs of
-    near-equal total cost (then enforce ``max_len`` per run).
-
-    Cut points sit where the cost prefix sum crosses each global
-    ``i/parts`` quantile — the weighted analogue of :func:`_cuts`, and
-    identical to it when all costs are equal (up to rounding).  Runs are
-    never empty; a run longer than ``max_len`` (the shard-size bound)
-    is post-split into near-equal pieces.
-    """
-    n = len(costs)
-    parts = max(1, min(parts, n))
-    prefix = [0] * (n + 1)
-    for i, cost in enumerate(costs):
-        prefix[i + 1] = prefix[i] + max(0, int(cost))
-    total = prefix[n]
-
-    runs: List[range] = []
-    if total == 0:
-        runs = _cuts(n, parts)
-    else:
-        start = 0
-        for i in range(1, parts):
-            target = total * i // parts
-            end = bisect.bisect_left(prefix, target, lo=start + 1, hi=n)
-            # Leave at least one item for every remaining run.
-            end = max(start + 1, min(end, n - (parts - i)))
-            runs.append(range(start, end))
-            start = end
-        runs.append(range(start, n))
-
-    if max_len:
-        bounded: List[range] = []
-        for run in runs:
-            if len(run) <= max_len:
-                bounded.append(run)
-                continue
-            for piece in _cuts(len(run), -(-len(run) // max_len)):
-                bounded.append(
-                    range(run.start + piece.start, run.start + piece.stop)
-                )
-        runs = bounded
-    return runs
-
-
 def plan_shards(
     n_weeks: int,
     n_domains: int,
     workers: int = 1,
     shard_size: int = 0,
-    cost_model: Optional[CostModel] = None,
 ) -> List[Shard]:
     """Partition a ``n_weeks × n_domains`` crawl into balanced shards.
 
@@ -234,13 +85,6 @@ def plan_shards(
             exists).
         shard_size: Maximum cells per shard; ``0`` targets one shard per
             worker.
-        cost_model: ``None`` balances cell counts (uniform plan).  With
-            a model, domain cut points balance *estimated cost* instead,
-            and the plan is ordered longest-first (LPT) so shard index 0
-            is the costliest — a pool of any width then starts the tail-
-            defining shards first.  Both invariants (exact partition,
-            contiguous week runs) and the ``shard_size`` bound hold
-            either way.
 
     Returns:
         Shards covering every cell exactly once, ``shards[i].index ==
@@ -253,11 +97,6 @@ def plan_shards(
     cells = n_weeks * n_domains
     if cells == 0:
         return []
-    if cost_model is not None and len(cost_model.domain_cost) != n_domains:
-        raise ConfigError(
-            f"cost model covers {len(cost_model.domain_cost)} domains, "
-            f"plan needs {n_domains}"
-        )
 
     target = workers
     if shard_size:
@@ -271,7 +110,6 @@ def plan_shards(
     if domain_parts < target:
         week_parts = min(n_weeks, -(-target // domain_parts))
 
-    max_domains_per_shard = 0
     if shard_size:
         # Hard bound: no shard may exceed shard_size cells.  Splitting
         # domains fully first preserves the contiguous-week invariant.
@@ -284,31 +122,12 @@ def plan_shards(
                 domain_parts, -(-n_domains // max_domains_per_shard)
             )
 
-    week_runs = _cuts(n_weeks, week_parts)
-    if cost_model is None:
-        domain_runs = _cuts(n_domains, domain_parts)
-    else:
-        domain_runs = _weighted_cuts(
-            cost_model.domain_cost, domain_parts, max_domains_per_shard
-        )
-
-    rectangles: List[Tuple[int, range, range]] = []
-    for week_run in week_runs:
-        for domain_run in domain_runs:
-            estimate = len(week_run) * (
-                sum(cost_model.domain_cost[d] for d in domain_run)
-                if cost_model is not None
-                else len(domain_run) * CostModel.SCALE
-            )
-            rectangles.append((estimate, week_run, domain_run))
-    if cost_model is not None:
-        # LPT order: costliest shard first.  Fold order is by sorted
-        # shard index and the merge is associative/commutative, so plan
-        # order is free to optimize for pool makespan.
-        rectangles.sort(
-            key=lambda item: (-item[0], item[1].start, item[2].start)
-        )
-
+    domain_runs = _cuts(n_domains, domain_parts)
+    rectangles = [
+        (week_run, domain_run)
+        for week_run in _cuts(n_weeks, week_parts)
+        for domain_run in domain_runs
+    ]
     return [
         Shard(
             index=index,
@@ -317,5 +136,5 @@ def plan_shards(
             domain_start=domain_run.start,
             domain_count=len(domain_run),
         )
-        for index, (_, week_run, domain_run) in enumerate(rectangles)
+        for index, (week_run, domain_run) in enumerate(rectangles)
     ]

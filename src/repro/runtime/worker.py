@@ -160,11 +160,11 @@ def _ecosystem_for(config: ScenarioConfig) -> WebEcosystem:
 def _shard_outcome_fields(instruments: Instruments, cells: int) -> dict:
     """The outcome facts a completed shard's span event carries.
 
-    Integer facts only: they feed the canonical ``planner`` cost
-    profile (``cells``/``pages``/``failures``/``cache_misses``/
-    ``scripts`` are the cost-model inputs), so they must be exactly
-    deterministic — wall time travels separately as the event's
-    non-canonical ``duration_us``.
+    Integer facts only: the canonical ``planner`` section prices each
+    shard from them (``cells``/``pages``/``failures``/``cache_misses``/
+    ``scripts`` are the terms of :func:`~repro.obs.shard_cost_units`),
+    so they must be exactly deterministic — wall time travels
+    separately as the event's non-canonical ``duration_us``.
     """
     scripts = instruments.histograms.get("page.scripts")
     return {

@@ -6,10 +6,16 @@ every analysis test — the pipeline is deterministic, so sharing is safe.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+import zlib
+
 import pytest
 
 from repro import ScenarioConfig, Study
 from repro.analysis.api import AnalysisContext, available_analyses, run_analyses
+from repro.crawler import persistence
+from repro.crawler.persistence import BINARY_FORMAT_VERSION
 from repro.fingerprint import FingerprintEngine
 from repro.vulndb import VersionMatcher, default_database
 from repro.webgen import WebEcosystem
@@ -56,6 +62,40 @@ def assert_same_reads(decoded, live, config) -> None:
     assert decoded.flash_spans == live.flash_spans
     assert decoded.untrusted_site_sets == live.untrusted_site_sets
     assert decoded.untrusted_url_counts == live.untrusted_url_counts
+
+
+def framed_store_blob(sections) -> bytes:
+    """A format-v2 store blob of raw ``(tag, bytes)`` sections, each
+    compressed and framed, behind a valid sha256 trailer."""
+    out = bytearray(b"RPS2" + struct.pack("<H", BINARY_FORMAT_VERSION))
+    for tag, raw in sections:
+        compressed = zlib.compress(raw)
+        out += struct.pack("<4sII", tag, len(compressed), len(raw)) + compressed
+    out += b"SHA2"
+    return bytes(out + hashlib.sha256(bytes(out)).digest())
+
+
+def blob_with_id_past_its_table(store, tag: bytes, domain: str) -> bytes:
+    """``store``'s blob with section ``tag`` encoded as though every
+    ``domain`` symbol had the id just past the end of its table.
+
+    The framing and trailer are valid, so only the decoder's bound
+    check can refuse it.
+    """
+    maps = persistence._canonical_maps(store)
+    bad = dict(maps, **{domain: [len(maps[domain])] * len(maps[domain])})
+    blob = framed_store_blob(
+        (section, encode(store, bad if section == tag else maps))
+        for section, encode in (
+            (b"SYMS", persistence._encode_symbols_section),
+            (b"WEEK", persistence._encode_weeks_section),
+            (b"SITE", persistence._encode_sites_section),
+        )
+    )
+    assert blob != persistence.store_to_bytes(store), (
+        f"section {tag!r} holds no {domain} id"
+    )
+    return blob
 
 
 SMALL_POPULATION = 500

@@ -22,6 +22,8 @@ from repro.cli import main
 from repro.errors import ConfigError, JobExecutionError
 from repro.runtime.faults import FaultPlan
 
+from conftest import blob_with_id_past_its_table
+
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
     """Run the real console entry in a subprocess (traceback checks
@@ -36,6 +38,18 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=300,
     )
+
+
+def _assert_clean_failure(proc, needle: str) -> None:
+    assert proc.returncode == 2
+    error_lines = [
+        line for line in proc.stderr.splitlines()
+        if line.startswith("error:")
+    ]
+    assert len(error_lines) == 1, proc.stderr
+    assert needle in error_lines[0]
+    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stdout
 
 
 # ----------------------------------------------------------------------
@@ -55,6 +69,8 @@ class TestBadFlags:
             ["run", "--backend", "thread"],
             ["orchestrate", "run", "--queue-dir", "queue", "--backend", "async"],
             ["sweep", "run", "--queue-dir", "queue", "--backend", "thread"],
+            # Plans cut cells uniformly; there is no second planner.
+            ["run", "--plan-from", "metrics.json"],
         ],
     )
     def test_unknown_flags_exit_2(self, argv):
@@ -113,91 +129,8 @@ class TestFaultPlanSpecErrors:
         assert FaultPlan.from_spec(plan.describe()) == plan
 
 
-# ----------------------------------------------------------------------
-# Satellite: --plan-from error paths exit 2, one line, no traceback
-# ----------------------------------------------------------------------
-class TestPlanFromErrors:
-    def _run(self, metrics_path: str) -> subprocess.CompletedProcess:
-        return _cli(
-            "run",
-            "--population", "30",
-            "--weeks", "2",
-            "--workers", "2",
-            "--plan-from", metrics_path,
-        )
-
-    def _assert_clean_failure(self, proc, needle: str) -> None:
-        assert proc.returncode == 2
-        error_lines = [
-            line for line in proc.stderr.splitlines()
-            if line.startswith("error:")
-        ]
-        assert len(error_lines) == 1, proc.stderr
-        assert needle in error_lines[0]
-        assert "Traceback" not in proc.stderr
-        assert "Traceback" not in proc.stdout
-
-    def test_missing_metrics_file(self, tmp_path):
-        proc = self._run(str(tmp_path / "nope.json"))
-        self._assert_clean_failure(proc, "cannot read plan-from metrics")
-
-    def test_unreadable_metrics_file(self, tmp_path):
-        bad = tmp_path / "garbage.json"
-        bad.write_text("{not json!")
-        proc = self._run(str(bad))
-        self._assert_clean_failure(proc, "not a JSON document")
-
-    def test_schema_invalid_metrics_file(self, tmp_path):
-        bad = tmp_path / "wrong-format.json"
-        bad.write_text(json.dumps({"format": 999}))
-        proc = self._run(str(bad))
-        self._assert_clean_failure(proc, "format")
-
-    def test_nested_metrics_file(self, tmp_path):
-        bad = tmp_path / "nested.json"
-        bad.write_bytes(b"[" * 200_000)
-        proc = self._run(str(bad))
-        self._assert_clean_failure(proc, "not a JSON document")
-
-    @pytest.fixture(scope="class")
-    def metrics_document(self, tmp_path_factory):
-        """A valid metrics document of the run ``_run`` plans."""
-        path = tmp_path_factory.mktemp("plan-from") / "metrics.json"
-        proc = _cli(
-            "run",
-            "--population", "30",
-            "--weeks", "2",
-            "--workers", "2",
-            "--metrics-out", str(path),
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(path.read_text())
-
-    @pytest.mark.parametrize(
-        "case", ["grid-list", "grid-null", "grid-string", "negative-row"]
-    )
-    def test_malformed_planner_counts(self, metrics_document, tmp_path, case):
-        document = json.loads(json.dumps(metrics_document))
-        planner = document["planner"]
-        domains = planner["grid"]["domains"]
-        if case == "negative-row":
-            planner["shards"][0]["domain_start"] = -21
-        else:
-            planner["grid"]["domains"] = {
-                "grid-list": [domains],
-                "grid-null": None,
-                "grid-string": str(domains),
-            }[case]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(document))
-        proc = self._run(str(bad))
-        self._assert_clean_failure(proc, "planner section is malformed")
-
-
 class TestResumeErrors:
     """A damaged or outdated checkpoint exits 2 with one error line."""
-
-    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
 
     def _checkpointed(self, root, *extra):
         return _cli(
@@ -213,7 +146,7 @@ class TestResumeErrors:
         assert self._checkpointed(root).returncode == 0
         (root / "manifest.json").write_bytes(b"[" * 200_000)
         proc = self._checkpointed(root, "--resume")
-        self._assert_clean_failure(proc, "unreadable")
+        _assert_clean_failure(proc, "unreadable")
 
     def test_checkpoint_of_an_older_ledger_format(self, tmp_path):
         root = tmp_path / "run"
@@ -222,26 +155,34 @@ class TestResumeErrors:
         manifest["format"] = 4
         (root / "manifest.json").write_text(json.dumps(manifest))
         proc = self._checkpointed(root, "--resume")
-        self._assert_clean_failure(proc, "format: run recorded 4")
+        _assert_clean_failure(proc, "format: run recorded 4")
 
 
 class TestSweepReportErrors:
-    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
-
     def test_nested_sweep_document(self, tmp_path):
         (tmp_path / "fleet-sweep.json").write_bytes(b"[" * 200_000)
         proc = _cli("sweep", "report", "--queue-dir", str(tmp_path))
-        self._assert_clean_failure(proc, "no folded sweep document")
+        _assert_clean_failure(proc, "no folded sweep document")
 
 
 class TestServeStoreErrors:
-    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
-
     def test_json_store_is_refused(self, tmp_path):
         store = tmp_path / "store.json"
         store.write_text(json.dumps({"checksum": "0" * 64, "store": {}}))
         proc = _cli("serve", "--store", str(store), "--port", "0")
-        self._assert_clean_failure(proc, "not a binary store blob")
+        _assert_clean_failure(proc, "not a binary store blob")
+
+    def test_symbol_id_past_its_table_is_refused(self, tmp_path):
+        from repro import ScenarioConfig, Study
+
+        study = Study(ScenarioConfig(population=20, seed=5))
+        study.run(weeks=study.config.calendar.weeks[:2])
+        store = tmp_path / "store.bin"
+        store.write_bytes(
+            blob_with_id_past_its_table(study.store, b"WEEK", "library")
+        )
+        proc = _cli("serve", "--store", str(store), "--port", "0")
+        _assert_clean_failure(proc, "section WEEK refers to library id")
 
 
 class TestUnwritableOutputPaths:
@@ -251,7 +192,6 @@ class TestUnwritableOutputPaths:
     regular file, so neither can hold what the flag writes.
     """
 
-    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
     _RUN = ["run", "--population", "30", "--weeks", "1"]
 
     @pytest.mark.parametrize(
@@ -271,7 +211,7 @@ class TestUnwritableOutputPaths:
         flag, value = argv[-2:]
         path = value.format(missing=tmp_path / "missing", file=regular)
         proc = _cli(*argv[:-1], path)
-        self._assert_clean_failure(proc, f"{flag} {path}")
+        _assert_clean_failure(proc, f"{flag} {path}")
         assert proc.stdout == ""  # no crawl ran, no report printed
         assert sorted(tmp_path.iterdir()) == [regular]
 
@@ -283,8 +223,6 @@ class TestBadSeed:
     ``ValueError`` from inside the crawl (and, in a fleet, inside the
     leased crawl job of a queue already on disk).
     """
-
-    _assert_clean_failure = TestPlanFromErrors._assert_clean_failure
 
     @pytest.mark.parametrize(
         "argv",
@@ -300,7 +238,7 @@ class TestBadSeed:
     def test_negative_seed_exits_2(self, tmp_path, argv):
         queue = tmp_path / "q"
         proc = _cli(*(arg.format(queue=queue) for arg in argv), "--seed", "-5")
-        self._assert_clean_failure(proc, "seed must be an integer >= 0, got -5")
+        _assert_clean_failure(proc, "seed must be an integer >= 0, got -5")
         assert proc.stdout == ""
         assert not queue.exists()
 

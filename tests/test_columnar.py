@@ -19,8 +19,8 @@ import zlib
 
 import pytest
 
-from repro import ScenarioConfig
-from repro.crawler import Crawler, ObservationStore
+from repro import ScenarioConfig, Study
+from repro.crawler import Crawler, ObservationStore, columns, persistence
 from repro.crawler.persistence import (
     BINARY_FORMAT_VERSION,
     load_store,
@@ -28,6 +28,7 @@ from repro.crawler.persistence import (
     store_from_bytes,
     store_to_bytes,
 )
+from repro.crawler.store import _COLUMN_FIELDS
 from repro.crawler.symbols import SymbolTable
 from repro.errors import StoreError
 from repro.fingerprint.profile import LibraryDetection, PageProfile
@@ -35,7 +36,12 @@ from repro.vulndb import MatchMode, VersionMatcher, default_database
 from repro.webgen import WebEcosystem
 from repro.webgen.domains import Domain, Reachability
 
-from conftest import assert_same_reads
+from conftest import (
+    assert_same_reads,
+    blob_with_id_past_its_table,
+    count_calls,
+    framed_store_blob,
+)
 
 
 def _domain(rank: int) -> Domain:
@@ -342,23 +348,57 @@ class TestCorruptionMatrix:
         with pytest.raises(StoreError):
             load_store(path, calendar)
 
+    @pytest.fixture(scope="class")
+    def every_id_kind(self):
+        """A store that refers to a symbol of every domain."""
+        return _crawled_store(population=200, seed=1, n_weeks=3)
+
+    @pytest.mark.parametrize(
+        "tag, domain",
+        [
+            # Pair-domain component ids.
+            (b"SYMS", "library"),
+            (b"SYMS", "version"),
+            (b"SYMS", "cdn_host"),
+            # Week id columns, both advisory_sites columns included.
+            (b"WEEK", "token"),
+            (b"WEEK", "library"),
+            (b"WEEK", "version"),
+            (b"WEEK", "libver"),
+            (b"WEEK", "libhost"),
+            (b"WEEK", "untrusted_host"),
+            (b"WEEK", "advisory"),
+            # Trajectory library and version ids, untrusted-host ids,
+            # untrusted_url_counts.
+            (b"SITE", "library"),
+            (b"SITE", "version"),
+            (b"SITE", "untrusted_host"),
+            (b"SITE", "url"),
+        ],
+    )
+    def test_symbol_id_past_its_table(self, every_id_kind, tag, domain):
+        store, config = every_id_kind
+        blob = blob_with_id_past_its_table(store, tag, domain)
+        size = len(persistence._canonical_maps(store)[domain])
+        with pytest.raises(
+            StoreError,
+            match=f"section {tag.decode()} refers to {domain} id {size}, ",
+        ):
+            store_from_bytes(blob, config.calendar)
+
 
 def _with_week_section(blob: bytes, length: int) -> bytes:
     """``blob`` with its WEEK section cut to its first ``length`` raw
     bytes, re-framed with matching lengths and a valid trailer."""
-    out = bytearray(blob[:6])
+    sections = []
     offset = 6
     for _ in range(3):
         tag, compressed_len, _raw_len = struct.unpack_from("<4sII", blob, offset)
         offset += 12
         raw = zlib.decompress(blob[offset : offset + compressed_len])
         offset += compressed_len
-        if tag == b"WEEK":
-            raw = raw[:length]
-        compressed = zlib.compress(raw)
-        out += struct.pack("<4sII", tag, len(compressed), len(raw)) + compressed
-    out += b"SHA2"
-    return bytes(out + hashlib.sha256(bytes(out)).digest())
+        sections.append((tag, raw[:length] if tag == b"WEEK" else raw))
+    return framed_store_blob(sections)
 
 
 def _week_section(blob: bytes) -> bytes:
@@ -452,6 +492,28 @@ class TestEmptyWeeks:
         for cut in (column + 4 + 6, column + 4 + 12):  # mid-pair, between pairs
             with pytest.raises(StoreError, match="truncated"):
                 store_from_bytes(_with_week_section(blob, cut), calendar)
+
+
+class TestDecodeGrowth:
+    def test_each_decoded_column_grows_once(self, monkeypatch):
+        """A decoded column is sized once, to its largest id.
+
+        Adding one entry at a time grew a column at every id past its
+        end: 4,145 ``_grow`` calls for this store.
+        """
+        config = ScenarioConfig(population=200, seed=1)
+        study = Study(config)
+        study.run(weeks=config.calendar.weeks[:20])
+        blob = store_to_bytes(study.store)
+        calls = count_calls(monkeypatch, (columns, "_grow"))
+        loaded = store_from_bytes(blob, config.calendar)
+        decoded = [loaded.untrusted_url_counts]
+        for week in loaded.weeks.values():
+            decoded += [getattr(week, name) for name in _COLUMN_FIELDS]
+            decoded += week.vuln_count_hist.values()
+            decoded += week.advisory_sites.values()
+        assert 0 < calls["_grow"] <= sum(1 for column in decoded if column)
+        assert store_to_bytes(loaded) == blob
 
 
 class TestJsonInterchange:

@@ -163,7 +163,6 @@ def test_run_knobs_and_equal_calendars_share_the_digest(tmp_path):
             workers=4,
             shard_size=7,
             profile_cache=False,
-            plan_from="metrics.json",
             profile_store_read=("gen-000",),
             profile_store_write="gen-001",
         ),

@@ -48,12 +48,18 @@ _SHARD_SIZE = 30  # 40 domains x 4 weeks = 160 cells -> 6 shards
 
 
 def _options(
-    checkpoint=None, resume=False, backend="serial", workers=2, plan=None
+    checkpoint=None,
+    resume=False,
+    backend="serial",
+    workers=2,
+    plan=None,
+    shard_size=_SHARD_SIZE,
 ):
-    """Run options of a checkpointed crawl in shards of ``_SHARD_SIZE``."""
+    """Run options of a checkpointed crawl, in shards of ``_SHARD_SIZE``
+    by default."""
     return RunOptions(
         execution=ExecutionOptions(
-            backend=backend, workers=workers, shard_size=_SHARD_SIZE
+            backend=backend, workers=workers, shard_size=shard_size
         ),
         resilience=ResilienceOptions(fault_plan=plan),
         durability=DurabilityOptions(
@@ -71,12 +77,13 @@ def _run(
     plan=None,
     config=_CONFIG,
     weeks=_WEEKS,
+    shard_size=_SHARD_SIZE,
 ):
     crawler = Crawler(
         WebEcosystem(config),
         mode="manifest",
         apply_filter=False,
-        options=_options(checkpoint, resume, backend, workers, plan),
+        options=_options(checkpoint, resume, backend, workers, plan, shard_size),
     )
     report = crawler.run(weeks=weeks)
     return report, store_to_bytes(crawler.store)
@@ -202,6 +209,32 @@ class TestResume:
         )
         assert store == baseline
         assert report.shards_reexecuted == 3
+
+    @pytest.mark.parametrize(
+        "provenance", [False, True], ids=["manifest", "with-plan-provenance"]
+    )
+    def test_resume_adopts_a_plan_the_live_run_would_not_cut(
+        self, tmp_path, provenance
+    ):
+        """One worker and no shard size would cut one shard; the resume
+        replays the stored plan instead.  Manifests once also recorded
+        where a plan came from; those keys are not identity, and such a
+        checkpoint resumes to the same bytes."""
+        root = tmp_path / "run"
+        report1, baseline = _run(checkpoint=root)
+        assert report1.shards_reexecuted > 1
+        _journal_entries(root)[0].unlink()
+        if provenance:
+            path = root / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest.update(plan_source="weighted", plan_from_digest="ab" * 32)
+            path.write_text(json.dumps(manifest))
+        report, store = _run(
+            checkpoint=root, resume=True, workers=1, shard_size=0
+        )
+        assert store == baseline
+        assert report.shards_replayed >= 1
+        assert report.shards_reexecuted == 1
 
     def test_resume_without_manifest_starts_fresh(self, tmp_path):
         _, baseline = _run(checkpoint=tmp_path / "run", resume=True)
@@ -517,34 +550,44 @@ class TestManifest:
         assert [s.index for s in restored.shards()] == [s.index for s in shards]
 
     @pytest.mark.parametrize(
-        "weeks, domains, workers, shard_size, weighted",
+        "weeks, domains, workers, shard_size",
         [
-            (4, 40, 2, _SHARD_SIZE, False),
-            (4, 40, 3, 0, True),
-            (201, 7, 1, 50, True),
-            (3, 2, 8, 0, False),
-            (0, 40, 2, 0, False),
-            (4, 0, 2, 0, False),
+            (4, 40, 2, _SHARD_SIZE),
+            (3, 2, 8, 0),
+            (0, 40, 2, 0),
+            (4, 0, 2, 0),
         ],
     )
     def test_every_planned_plan_partitions_its_grid(
-        self, weeks, domains, workers, shard_size, weighted
+        self, weeks, domains, workers, shard_size
     ):
-        from repro.runtime import CostModel, plan_shards
+        from repro.runtime import plan_shards
 
-        model = None
-        if weighted:  # uneven costs reorder the plan longest-first
-            model = CostModel(tuple(1 + d % 5 for d in range(domains)))
-        manifest = RunManifest.build(
-            config=_CONFIG,
-            mode="manifest",
-            fault_plan=None,
-            week_ordinals=tuple(range(weeks)),
-            domain_names=tuple(f"d{i}.example" for i in range(domains)),
-            shards=plan_shards(weeks, domains, workers, shard_size, model),
-            store_format=1,
+        manifest = _manifest(
+            weeks, domains, plan_shards(weeks, domains, workers, shard_size)
         )
         assert manifest.plan_problem() is None
+
+    def test_a_plan_stored_out_of_domain_order_partitions_its_grid(self):
+        """Older runs could store a cost-ordered plan, whose row 0
+        covers a later domain block than row 1; a resume adopts it."""
+        from repro.runtime import Shard
+
+        manifest = _manifest(4, 40, [Shard(0, 0, 4, 25, 15), Shard(1, 0, 4, 0, 25)])
+        assert [row[3] for row in manifest.shard_plan] == [25, 0]
+        assert manifest.plan_problem() is None
+
+
+def _manifest(weeks, domains, shards):
+    return RunManifest.build(
+        config=_CONFIG,
+        mode="manifest",
+        fault_plan=None,
+        week_ordinals=tuple(range(weeks)),
+        domain_names=tuple(f"d{i}.example" for i in range(domains)),
+        shards=shards,
+        store_format=1,
+    )
 
 
 _KILL_SCRIPT = """

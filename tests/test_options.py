@@ -161,15 +161,3 @@ class TestCliDerivation:
         assert "--checkpoint-dir" in capsys.readouterr().err
         assert main(["run", "--workers", "0"]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
-
-    def test_bad_plan_from_exits_2_via_cli(self, capsys, tmp_path):
-        # plan_from is only validated once the run opens the file, so
-        # the error surfaces from study.run — still exit 2, one line.
-        from repro.cli import main
-
-        missing = tmp_path / "missing.json"
-        assert main(
-            ["run", "--population", "60", "--weeks", "1",
-             "--plan-from", str(missing)]
-        ) == 2
-        assert "cannot read plan-from metrics" in capsys.readouterr().err

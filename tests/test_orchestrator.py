@@ -32,7 +32,7 @@ from repro.orchestrator import (
     Orchestrator,
     status_lines,
 )
-from repro.orchestrator.queue import BLOCKED, PENDING, SKIPPED
+from repro.orchestrator.queue import BLOCKED, LEASED, PENDING, RUNNING, SKIPPED
 from repro.orchestrator.runner import JobRunner
 
 from conftest import count_calls
@@ -440,6 +440,32 @@ class TestDegradePolicies:
             ).read_text()
         )
         assert analyses["source"] == "crawl-000"
+
+    def test_untyped_exception_dead_letters_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        """A bug inside one job fails that job like a typed error does;
+        it does not escape the run and leave the job's record running."""
+        original = JobRunner.execute
+
+        def execute(self, spec):
+            if spec.job_id == "analyses-000":
+                raise ValueError("boom")
+            return original(self, spec)
+
+        monkeypatch.setattr(JobRunner, "execute", execute)
+        orchestrator = Orchestrator(tmp_path / "q", FleetPlan.build(20, 7, 1, 1))
+        records = orchestrator.run()
+        dead = records["analyses-000"]
+        assert (dead.state, dead.attempt) == (DEAD_LETTER, 3)
+        copy = orchestrator.queue.dead_letter_dir / "analyses-000.json"
+        assert json.loads(copy.read_text())["error"] == "ValueError: boom"
+        assert records["report-000"].state == SKIPPED
+        assert records["serve-000"].state == SKIPPED
+        assert not [
+            job for job, record in records.items()
+            if record.state in (LEASED, RUNNING)
+        ]
 
     def test_fleet_metrics_account_for_degraded_jobs(
         self, tmp_path, monkeypatch

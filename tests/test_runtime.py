@@ -52,7 +52,10 @@ class TestPlanner:
     ):
         shards = plan_shards(n_weeks, n_domains, workers, shard_size)
         seen = set()
-        for shard in shards:
+        for position, shard in enumerate(shards):
+            assert shard.index == position
+            if shard_size:
+                assert shard.cells <= shard_size
             for w in range(shard.week_start, shard.week_start + shard.week_count):
                 for d in range(
                     shard.domain_start, shard.domain_start + shard.domain_count
